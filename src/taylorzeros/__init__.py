@@ -22,13 +22,19 @@ from .sampling import (
     trial_rng,
     truncation_degree,
 )
-from .roots import ScanGrid, ZeroCount, count_zeros, exact_count_small, rice_density
+from .roots import (
+    ScanGrid,
+    ZeroCount,
+    count_zeros,
+    exact_count_small,
+    path_zero_counts,
+    rice_density,
+)
 from .gauss import (
     PathSampler,
     cov_y,
     cov_z,
     expected_zeros_rice,
-    path_zero_counts,
     rho_second_derivative,
     sample_path,
 )

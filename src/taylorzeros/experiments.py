@@ -15,25 +15,32 @@ Four runners, one per question:
   noise: the limit does not feel the law).
 
 Reproducibility contract: trial t of interval n draws its generator from
-SeedSequence(master_seed, spawn_key=(n, t)). Results land in arrays indexed
-by t, so the aggregate is a pure function of the config no matter how many
-workers ran the trials or in what order they finished. Trial seeds do not
-depend on the law, so rerunning with the identical law gives bitwise
-identical results (and cross-law comparisons are seed-coupled).
+SeedSequence(master_seed, spawn_key=(n, t)) via `trial_rng`. Results land in
+arrays indexed by t, so the aggregate is a pure function of the config no
+matter how many workers ran the trials or in what order they finished. Trial
+seeds do not depend on the law, so rerunning with the identical law gives
+bitwise identical results (and cross-law comparisons are seed-coupled).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .coeffs import CoefficientSequence, Constant, LogLog, LogPower
-from .gauss import PathSampler, expected_zeros_rice, path_zero_counts
-from .roots import ScanGrid, count_zeros
-from .sampling import CoefficientLaw, TruncationPolicy, draw_sample, truncation_degree
+from .gauss import PathSampler, expected_zeros_rice
+from .roots import ScanGrid, count_zeros, path_zero_counts
+from .sampling import (
+    CoefficientLaw,
+    TruncationPolicy,
+    draw_sample,
+    trial_rng,
+    truncation_degree,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -85,8 +92,9 @@ class ExperimentConfig:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not (self.eta > 0.0):
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        seed = self.master_seed
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+            raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
 
     @property
     def seq(self) -> CoefficientSequence:
@@ -113,25 +121,46 @@ def interval_target(gamma: float, q: float) -> float:
 
 
 @dataclass
-class IntervalEstimate:
-    n: int
-    a: float
-    b: float
-    law: str
+class CountSummary:
+    """Per-trial zero counts reduced to mean, spread, 95% CI and histogram,
+    next to the expected count they estimate."""
+
     trials: int
     mean_count: float
     sd: float
     stderr: float
     ci_lo: float
     ci_hi: float
-    unstable_fraction: float
     target: float
     count_hist: dict
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, target: float, **fields):
+        """Summarize `counts`; `fields` fill the subclass's own fields."""
+        m = counts.size
+        mean = float(counts.mean())
+        if m > 1:
+            sd = float(counts.std(ddof=1))
+            stderr = sd / math.sqrt(m)
+            ci_lo, ci_hi = mean - _Z95 * stderr, mean + _Z95 * stderr
+        else:
+            sd = stderr = ci_lo = ci_hi = math.nan  # degenerate single-trial run
+        hist = {int(k): int(v) for k, v in enumerate(np.bincount(counts)) if v}
+        return cls(m, mean, sd, stderr, ci_lo, ci_hi, target, hist, **fields)
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
         d["count_hist"] = {str(k): v for k, v in self.count_hist.items()}
         return d
+
+
+@dataclass
+class IntervalEstimate(CountSummary):
+    n: int
+    a: float
+    b: float
+    law: str
+    unstable_fraction: float
 
 
 @dataclass
@@ -150,24 +179,11 @@ class SlopeReport:
 
 
 @dataclass
-class GaussianOracleSummary:
+class GaussianOracleSummary(CountSummary):
     gamma: float
     a: float
     b: float
     eta: float
-    trials: int
-    mean_count: float
-    sd: float
-    stderr: float
-    ci_lo: float
-    ci_hi: float
-    target: float
-    count_hist: dict
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["count_hist"] = {str(k): v for k, v in self.count_hist.items()}
-        return d
 
 
 @dataclass
@@ -184,19 +200,6 @@ class UniversalityReport:
             },
             "pairs": self.pairs,
         }
-
-
-def _summary_stats(counts: np.ndarray):
-    m = counts.size
-    mean = float(counts.mean())
-    if m > 1:
-        sd = float(counts.std(ddof=1))
-        stderr = sd / math.sqrt(m)
-        ci_lo, ci_hi = mean - _Z95 * stderr, mean + _Z95 * stderr
-    else:
-        sd = stderr = ci_lo = ci_hi = math.nan  # degenerate single-trial run
-    hist = {int(k): int(v) for k, v in enumerate(np.bincount(counts)) if v}
-    return mean, sd, stderr, ci_lo, ci_hi, hist
 
 
 def _interval_trials(
@@ -248,21 +251,14 @@ def _estimate_interval(
     b = 1.0 - config.q ** (n + 1) if b_override is None else b_override
     K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
     counts, unstable = _scan_interval(config, n, K, a, b, jobs)
-    mean, sd, stderr, ci_lo, ci_hi, hist = _summary_stats(counts)
-    return IntervalEstimate(
+    return IntervalEstimate.from_counts(
+        counts,
+        interval_target(config.gamma, config.q),
         n=n,
         a=a,
         b=b,
         law=config.law.value,
-        trials=config.trials,
-        mean_count=mean,
-        sd=sd,
-        stderr=stderr,
-        ci_lo=ci_lo,
-        ci_hi=ci_hi,
         unstable_fraction=float(unstable.mean()),
-        target=interval_target(config.gamma, config.q),
-        count_hist=hist,
     )
 
 
@@ -353,9 +349,10 @@ def run_gaussian_oracle(
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rng = trial_rng(seed)
     if a == b:
         return GaussianOracleSummary(
-            gamma, a, b, eta, trials, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {0: trials}
+            trials, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {0: trials}, gamma, a, b, eta
         )
     u_lo, u_hi = math.log(a), math.log(b)
     step = eta * 2.0 * math.pi / math.sqrt(gamma)
@@ -365,27 +362,14 @@ def run_gaussian_oracle(
             f"{gaps + 1} grid points exceed the {_MAX_ORACLE_GRID} sampler cap"
         )
     sampler = PathSampler(np.linspace(u_lo, u_hi, gaps + 1), gamma)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     counts = np.empty(trials, dtype=np.int64)
     done = 0
     while done < trials:
         m = min(_ORACLE_CHUNK, trials - done)
         counts[done : done + m] = path_zero_counts(sampler.draw(rng, m), axis=0)
         done += m
-    mean, sd, stderr, ci_lo, ci_hi, hist = _summary_stats(counts)
-    return GaussianOracleSummary(
-        gamma=gamma,
-        a=a,
-        b=b,
-        eta=eta,
-        trials=trials,
-        mean_count=mean,
-        sd=sd,
-        stderr=stderr,
-        ci_lo=ci_lo,
-        ci_hi=ci_hi,
-        target=expected_zeros_rice(a, b, gamma),
-        count_hist=hist,
+    return GaussianOracleSummary.from_counts(
+        counts, expected_zeros_rice(a, b, gamma), gamma=gamma, a=a, b=b, eta=eta
     )
 
 

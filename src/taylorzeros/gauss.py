@@ -13,7 +13,8 @@ for a stationary unit-variance Gaussian process gives
 
 so the expected count on [a, b] in the t coordinate is
 (sqrt(gamma)/2 pi) log(b/a). Path sampling is dense Cholesky with a small
-diagonal jitter ladder; grids are capped at 1e4 points.
+diagonal jitter ladder; grids are capped at 1e4 points. Sampled paths are
+counted by `roots.path_zero_counts`, the same half-open rule as series scans.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sampling import trial_rng
 
 __all__ = [
     "CovarianceConditioningError",
@@ -33,7 +36,6 @@ __all__ = [
     "rho_second_derivative_fd",
     "expected_zeros_rice",
     "sample_path",
-    "path_zero_counts",
 ]
 
 _MAX_PATH_GRID = 10_000
@@ -135,19 +137,13 @@ class PathSampler:
                 f"Cholesky failed at jitter {_JITTERS[-1]} on {u.size} points"
             )
 
-    def _rng(self, seed) -> np.random.Generator:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        return np.random.Generator(np.random.Philox(ss))
-
     def sample(self, seed) -> np.ndarray:
         """One path; deterministic in (grid, gamma, seed)."""
-        return self._chol @ self._rng(seed).standard_normal(self.u.size)
+        return self.draw(trial_rng(seed), 1)[:, 0]
 
     def sample_many(self, seed, m: int) -> np.ndarray:
         """(npoints, m) array of independent paths from one seed."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        return self._chol @ self._rng(seed).standard_normal((self.u.size, m))
+        return self.draw(trial_rng(seed), m)
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """Like sample_many but advances a caller-owned generator."""
@@ -168,17 +164,3 @@ def sample_path(grid, gamma: float, seed) -> GaussianPath:
     """Draw Y on the given u-grid (<= 1e4 points, strictly increasing)."""
     sampler = PathSampler(grid, gamma)
     return GaussianPath(u=sampler.u, values=sampler.sample(seed), gamma=gamma, seed=seed)
-
-
-def path_zero_counts(values, axis: int = 0) -> np.ndarray:
-    """Half-open zero counts along `axis`: sign changes plus exact zeros at
-    every grid point but the last. Works on (npoints,) or (npoints, m)."""
-    v = np.asarray(values, dtype=float)
-    s = np.sign(v)
-    head = [slice(None)] * v.ndim
-    tail = [slice(None)] * v.ndim
-    head[axis] = slice(None, -1)
-    tail[axis] = slice(1, None)
-    changes = np.sum(s[tuple(head)] * s[tuple(tail)] < 0, axis=axis)
-    exact = np.sum(v[tuple(head)] == 0.0, axis=axis)
-    return changes + exact

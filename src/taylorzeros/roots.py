@@ -7,10 +7,14 @@ places ~1/eta points per expected zero and missed same-cell pairs are rare.
 Counts are sign changes over the grid, each refined by bisection; stability
 is assessed by recounting at half the step.
 
-Interval convention is half-open [a, b): an exact zero sitting on a grid
-point is counted once and attributed to the gap on its right, and a zero at
-the final grid point is not counted. Tiling [0, r) by consecutive intervals
-therefore sums exactly to the count over the union grid.
+The counting rule lives here, in `_zero_gaps`, and every count in the
+package uses it (`count_zeros` for series scans, `path_zero_counts` for
+limit-process paths). It is half-open on [a, b): a sign change is a gap whose
+endpoint values have opposite `np.sign` (signs, not products, so values near
+underflow still count), an exact zero sitting on a grid point is counted once
+and attributed to the gap on its right, and a zero at the final grid point is
+not counted. Tiling [0, r) by consecutive intervals therefore sums exactly to
+the count over the union grid.
 
 `exact_count_small` is a test oracle: a Sturm chain over exact rationals
 (square-free reduction first), counting distinct real roots in a closed
@@ -31,6 +35,7 @@ __all__ = [
     "ZeroCount",
     "count_zeros",
     "exact_count_small",
+    "path_zero_counts",
     "rice_density",
 ]
 
@@ -116,18 +121,18 @@ def _scalar_fn(fn, vectorized: bool):
     return lambda x: float(np.asarray(fn(np.array([x])), dtype=float)[0])
 
 
-def _raw_count(vals: np.ndarray) -> tuple[int, list]:
-    """Half-open count: sign changes across gaps plus exact zeros at all
-    grid points except the last."""
-    events = []  # (position index, kind, payload)
-    zero = vals == 0.0
-    for i in np.nonzero(zero[:-1])[0]:
-        events.append((int(i), "exact"))
-    prods = vals[:-1] * vals[1:]
-    for i in np.nonzero(prods < 0.0)[0]:
-        events.append((int(i), "change"))
-    events.sort()
-    return len(events), events
+def _zero_gaps(v: np.ndarray) -> np.ndarray:
+    """Half-open zero events along axis 0, one per gap [i, i+1): a sign
+    change across the gap, or an exact zero at its left grid point."""
+    s = np.sign(v)
+    return (s[:-1] * s[1:] < 0.0) | (s[:-1] == 0.0)
+
+
+def path_zero_counts(values, axis: int = 0) -> np.ndarray:
+    """Half-open zero counts along `axis`: sign changes plus exact zeros at
+    every grid point but the last. Works on (npoints,) or (npoints, m)."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    return np.sum(_zero_gaps(v), axis=0)
 
 
 def _refine(fs, lo: float, hi: float, lo_positive: bool, tol: float):
@@ -157,18 +162,19 @@ def count_zeros(fn, grid: ScanGrid, vectorized: bool = False) -> ZeroCount:
     """
     pts = grid.points()
     vals = _values(fn, pts, vectorized)
-    n, events = _raw_count(vals)
+    gaps = np.flatnonzero(_zero_gaps(vals))
+    n = gaps.size
     fs = _scalar_fn(fn, vectorized)
     tol = 1e-12 * (grid.b - grid.a)
     locs = np.empty((n, 2))
-    for j, (i, kind) in enumerate(events):
-        if kind == "exact":
+    for j, i in enumerate(gaps):
+        if vals[i] == 0.0:
             locs[j] = pts[i], pts[i]
         else:
             locs[j] = _refine(fs, float(pts[i]), float(pts[i + 1]), vals[i] > 0.0, tol)
-    half = grid.half_step()
-    n_half, _ = _raw_count(_values(fn, half.points(), vectorized))
-    return ZeroCount(count=n, locations=locs, stable=(n_half == n), grid=grid)
+    half = _values(fn, grid.half_step().points(), vectorized)
+    n_half = np.count_nonzero(_zero_gaps(half))
+    return ZeroCount(count=n, locations=locs, stable=bool(n_half == n), grid=grid)
 
 
 def rice_density(x, gamma: float):

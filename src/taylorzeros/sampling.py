@@ -13,15 +13,16 @@ through cumulative power tables; the two agree to ~1e-12 relative and the
 test suite pins that.
 
 Reproducibility: generators are counter-based (Philox) and every consumer
-derives them from explicit seed material, so a sample is a pure function of
-(sequence, law, seed, K) and the first K+1 draws of a longer stream match
-the shorter one.
+in the package gets them from `trial_rng`, the one seed derivation, so a
+sample is a pure function of (sequence, law, seed, K) and the first K+1
+draws of a longer stream match the shorter one.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,15 +60,23 @@ class CoefficientLaw(enum.Enum):
         return rng.uniform(-_SQRT3, _SQRT3, size=size)
 
 
-def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator for (master_seed, key).
+def trial_rng(seed, *key: int) -> np.random.Generator:
+    """Counter-based generator for (seed, key).
 
-    Distinct keys give statistically independent streams; the derivation is
-    a pure function of its arguments, so any worker layout reproduces the
-    same per-trial draws.
+    `seed` is a nonnegative int, or a numpy SeedSequence when no key is given
+    (callers running trial grids pass pre-derived sequences). Distinct keys
+    give statistically independent streams; the derivation is a pure
+    function of its arguments, so any worker layout reproduces the same
+    per-trial draws.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
+    if isinstance(seed, np.random.SeedSequence):
+        if key:
+            raise ValueError("a SeedSequence seed takes no key")
+    elif isinstance(seed, numbers.Integral) and seed >= 0:
+        seed = np.random.SeedSequence(seed, spawn_key=key)
+    else:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True)
@@ -194,10 +203,6 @@ class SeriesSample:
             raise ValueError(f"variance vanishes at x={x}; cannot normalize")
         return self.evaluate(x) / math.sqrt(v)
 
-    def grid_fn(self):
-        """Vectorized callable suitable for zero scanning."""
-        return self.evaluate_many
-
 
 def draw_sample(
     seq: CoefficientSequence,
@@ -208,16 +213,10 @@ def draw_sample(
 ) -> SeriesSample:
     """Draw xi_0..xi_K from `law`; deterministic in (law, seed, K).
 
-    `seed` is an int or a numpy SeedSequence (callers running trial grids
-    pass pre-derived sequences). The same seed with a larger K extends the
-    sample: the first K+1 variates agree.
+    `seed` is anything `trial_rng` takes without a key. The same seed with a
+    larger K extends the sample: the first K+1 variates agree.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(ss))
-    xi = law.draw(rng, K + 1)
+    xi = law.draw(trial_rng(seed), K + 1)
     return SeriesSample(seq=seq, law=law, seed=seed, xi=xi, policy=policy)

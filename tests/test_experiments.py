@@ -37,6 +37,8 @@ def small_config(**kw):
         dict(delta=0.0),
         dict(eta=0.0),
         dict(law="rademacher"),
+        dict(master_seed=5.7),
+        dict(master_seed=-1),
     ],
 )
 def test_config_rejects_bad_fields(kw):
@@ -205,6 +207,11 @@ def test_oracle_rejects_bad_domain(args):
     gamma, a, b = args
     with pytest.raises(ValueError):
         run_gaussian_oracle(gamma, a, b, trials=5)
+
+
+def test_oracle_rejects_non_integer_seed():
+    with pytest.raises(ValueError):
+        run_gaussian_oracle(1.0, 1.0, 2.0, trials=5, seed=5.7)
 
 
 def test_oracle_grid_cap():

@@ -9,11 +9,11 @@ from taylorzeros.gauss import (
     cov_y,
     cov_z,
     expected_zeros_rice,
-    path_zero_counts,
     rho_second_derivative,
     rho_second_derivative_fd,
     sample_path,
 )
+from taylorzeros.roots import path_zero_counts
 
 TWO_PI = 2.0 * math.pi
 

@@ -8,6 +8,7 @@ from taylorzeros.roots import (
     ScanGrid,
     count_zeros,
     exact_count_small,
+    path_zero_counts,
     rice_density,
 )
 from polycorpus import (
@@ -77,6 +78,27 @@ class TestCountZeros:
         g = ScanGrid(0.1, 0.9, eta=0.05)
         assert count_zeros(lambda x: x - 0.1, g).count == 1
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_tiny_values_still_count(self, vectorized):
+        # 1e-200 * 1e-200 underflows to 0: the rule must compare signs
+        zc = count_zeros(lambda x: 1e-200 * (x - 0.5), ScanGrid(0.1, 0.9), vectorized)
+        assert zc.count == 1 and zc.stable
+        assert zc.locations[0].mean() == pytest.approx(0.5, abs=1e-10)
+
+    def test_matches_path_zero_counts_on_planted_zeros(self):
+        # value arrays with exact zeros (ends included) and near-underflow
+        # magnitudes, scanned through their piecewise-linear interpolant
+        g = ScanGrid(0.1, 0.9, eta=0.05)
+        pts = g.points()
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            vals = rng.choice([-2.0, -1e-200, 1e-200, 3.0], size=pts.size)
+            vals[rng.random(pts.size) < 0.15] = 0.0
+            if trial % 2:
+                vals[[0, -1]] = 0.0
+            zc = count_zeros(lambda x: np.interp(x, pts, vals), g, vectorized=True)
+            assert zc.count == path_zero_counts(vals)
+
     def test_vectorized_matches_scalar(self):
         fn = poly_fn(planted_corpus(1, 5)[0][0])
         g = ScanGrid(*SCAN_INTERVAL, eta=0.003)
@@ -110,7 +132,7 @@ class TestCountZeros:
         g = ScanGrid(*SCAN_INTERVAL, eta=0.003)
         for coeffs, m in planted_corpus(200, seed=20240501):
             zc = count_zeros(poly_fn(coeffs), g, vectorized=True)
-            assert zc.count == m
+            assert zc.count == m == path_zero_counts(poly_fn(coeffs)(g.points()))
             assert zc.stable
 
 
@@ -166,6 +188,7 @@ class TestExactCount:
         for c in polys:
             exact = exact_count_small(c, SCAN_INTERVAL)
             got = count_zeros(poly_fn(c), g, vectorized=True).count
+            assert got == path_zero_counts(poly_fn(c)(g.points()))
             if got == exact:
                 agree += 1
             else:

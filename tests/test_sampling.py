@@ -87,6 +87,18 @@ class TestDrawing:
         assert np.array_equal(r1, r1b)
         assert not np.array_equal(r1, r2)
 
+    def test_seed_sequence_matches_int_seed(self):
+        want = trial_rng(9, 0, 1).standard_normal(8)
+        ss = np.random.SeedSequence(9, spawn_key=(0, 1))
+        assert np.array_equal(trial_rng(ss).standard_normal(8), want)
+
+    def test_bad_seeds_raise_value_error(self):
+        for bad in (5.7, -1, "3", None):
+            with pytest.raises(ValueError):
+                trial_rng(bad)
+        with pytest.raises(ValueError):
+            trial_rng(np.random.SeedSequence(9), 0)
+
 
 class TestEvaluate:
     def test_all_ones_geometric(self):
