@@ -2,11 +2,12 @@
 Counting real zeros on a log-scale grid
 =======================================
 
-Zeros are located by sign changes on a grid that is uniform in
+Zeros are counted by sign changes on a grid that is uniform in
 u = -log(1-x), so resolution automatically concentrates near x = 1 where
-the zeros do.  Each bracket is refined by bisection; a half-step recount
-flags unstable counts.  A Sturm-chain oracle gives exact counts for small
-polynomials.
+the zeros do.  `count_zeros` evaluates once, on the grid with every gap
+halved, and flags a count the halved grid does not reproduce as unstable.
+`locate_zeros` refines each counted zero's bracket by bisection.  A
+Sturm-chain oracle gives exact counts for small polynomials.
 """
 
 from taylorzeros import (
@@ -17,6 +18,7 @@ from taylorzeros import (
     count_zeros,
     draw_sample,
     exact_count_small,
+    locate_zeros,
     truncation_degree,
 )
 
@@ -25,7 +27,7 @@ poly = lambda x: (x - 0.3) * (x - 0.6) * (x + 2.0)
 grid = ScanGrid(0.0, 0.95, eta=0.02)
 zc = count_zeros(poly, grid)
 print(f"cubic on [0, 0.95): count={zc.count} stable={zc.stable}")
-for lo, hi in zc.locations:
+for lo, hi in locate_zeros(poly, grid):
     print(f"  zero in [{lo:.12f}, {hi:.12f}]")
 
 # exact Sturm count agrees; ascending coefficients of the expanded cubic
@@ -44,10 +46,11 @@ print()
 print(f"series zeros on [{a:.6f}, {b:.6f}), K={K}:")
 for seed in range(40):
     sample = draw_sample(seq, CoefficientLaw.RADEMACHER, seed, K, policy=policy)
-    zc = count_zeros(sample.evaluate_many, grid, vectorized=True)
+    zc = count_zeros(sample.evaluate_many, grid)
     if zc.count:
         hits += 1
-        mids = ", ".join(f"{(lo + hi) / 2:.8f}" for lo, hi in zc.locations)
+        locs = locate_zeros(sample.evaluate_many, grid)
+        mids = ", ".join(f"{(lo + hi) / 2:.8f}" for lo, hi in locs)
         print(f"  seed {seed:2d}: {zc.count} zero(s) near {mids}")
 print(f"{hits}/40 samples had a zero here; the limit mean is "
       f"sqrt(1)*log(2)/(2 pi) = 0.1103")

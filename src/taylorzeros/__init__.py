@@ -27,6 +27,7 @@ from .roots import (
     ZeroCount,
     count_zeros,
     exact_count_small,
+    locate_zeros,
     path_zero_counts,
     rice_density,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "ZeroCount",
     "count_zeros",
     "exact_count_small",
+    "locate_zeros",
     "rice_density",
     "PathSampler",
     "cov_y",

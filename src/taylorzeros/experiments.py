@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ValueError(f"q must be in (0, 1), got {self.q}")
         if not isinstance(self.law, CoefficientLaw):
             raise ValueError(f"law must be a CoefficientLaw, got {self.law!r}")
+        for name in ("n_min", "n_max", "trials", "master_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 <= self.n_min <= self.n_max):
             raise ValueError(
                 f"need 0 <= n_min <= n_max, got {self.n_min}..{self.n_max}"
@@ -92,9 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not (self.eta > 0.0):
             raise ValueError(f"eta must be positive, got {self.eta}")
-        seed = self.master_seed
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-            raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+        if not (0 <= self.master_seed < 2**64):
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
     @property
     def seq(self) -> CoefficientSequence:
@@ -214,7 +216,7 @@ def _interval_trials(
     for t in range(lo, hi):
         ss = np.random.SeedSequence(config.master_seed, spawn_key=(n, t))
         sample = draw_sample(seq, config.law, ss, K, policy=policy)
-        zc = count_zeros(sample.evaluate_many, grid, vectorized=True)
+        zc = count_zeros(sample.evaluate_many, grid)
         counts[t - lo] = zc.count
         unstable[t - lo] = not zc.stable
     return lo, counts, unstable
@@ -347,8 +349,8 @@ def run_gaussian_oracle(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not (0.0 < a <= b):
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     rng = trial_rng(seed)
     if a == b:
         return GaussianOracleSummary(

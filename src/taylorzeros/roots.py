@@ -4,8 +4,8 @@ Scanning happens in the coordinate u = -log(1-x), where the zero set of the
 series becomes asymptotically stationary: the expected number of zeros per
 unit u tends to sqrt(gamma)/(2*pi), so a grid step of eta * 2*pi/sqrt(gamma)
 places ~1/eta points per expected zero and missed same-cell pairs are rare.
-Counts are sign changes over the grid, each refined by bisection; stability
-is assessed by recounting at half the step.
+`count_zeros` counts sign changes from one evaluation on the grid with every
+gap halved (stable if both agree); `locate_zeros` brackets zeros by bisection.
 
 The counting rule lives here, in `_zero_gaps`, and every count in the
 package uses it (`count_zeros` for series scans, `path_zero_counts` for
@@ -35,6 +35,7 @@ __all__ = [
     "ZeroCount",
     "count_zeros",
     "exact_count_small",
+    "locate_zeros",
     "path_zero_counts",
     "rice_density",
 ]
@@ -77,9 +78,13 @@ class ScanGrid:
         return self.eta * 2.0 * math.pi / math.sqrt(self.gamma)
 
     def points(self) -> np.ndarray:
+        return self._points(1)
+
+    def _points(self, split: int) -> np.ndarray:
+        """`points()` with each gap cut in `split`; every split-th point is bitwise."""
         u_lo = -math.log1p(-self.a)
         u_hi = -math.log1p(-self.b)
-        gaps = max(1, math.ceil((u_hi - u_lo) / self.u_step))
+        gaps = max(1, math.ceil((u_hi - u_lo) / self.u_step)) * split
         if gaps > _MAX_GRID:
             raise ValueError(f"grid of {gaps} gaps exceeds the {_MAX_GRID} cap")
         u = np.linspace(u_lo, u_hi, gaps + 1)
@@ -87,38 +92,24 @@ class ScanGrid:
         x[0], x[-1] = self.a, self.b
         return x
 
-    def half_step(self) -> "ScanGrid":
-        return ScanGrid(self.a, self.b, self.eta / 2.0, self.gamma)
-
 
 @dataclass
 class ZeroCount:
-    """Zeros found on [a, b): total, refined locations, grid stability."""
+    """Zeros counted on [a, b), and whether the half-gap grid agrees."""
 
     count: int
-    locations: np.ndarray  # shape (count, 2): refined brackets, lo <= hi
     stable: bool
-    grid: ScanGrid
 
 
-def _values(fn, pts: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.shape != pts.shape:
-            raise ValueError("vectorized eval returned a mismatched shape")
-    else:
-        vals = np.array([float(fn(float(x))) for x in pts])
+def _values(fn, pts: np.ndarray) -> np.ndarray:
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape != pts.shape:
+        raise ValueError(f"fn returned shape {vals.shape} for {pts.shape} points")
     bad = ~np.isfinite(vals)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise EvaluationError(float(pts[i]), float(vals[i]))
     return vals
-
-
-def _scalar_fn(fn, vectorized: bool):
-    if not vectorized:
-        return lambda x: float(fn(x))
-    return lambda x: float(np.asarray(fn(np.array([x])), dtype=float)[0])
 
 
 def _zero_gaps(v: np.ndarray) -> np.ndarray:
@@ -135,14 +126,12 @@ def path_zero_counts(values, axis: int = 0) -> np.ndarray:
     return np.sum(_zero_gaps(v), axis=0)
 
 
-def _refine(fs, lo: float, hi: float, lo_positive: bool, tol: float):
+def _refine(fn, lo: float, hi: float, lo_positive: bool, tol: float):
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
-        fm = fs(mid)
-        if not math.isfinite(fm):
-            raise EvaluationError(mid, fm)
+        fm = float(_values(fn, np.array([mid]))[0])
         if fm == 0.0:
             return mid, mid
         if (fm > 0.0) == lo_positive:
@@ -152,29 +141,35 @@ def _refine(fs, lo: float, hi: float, lo_positive: bool, tol: float):
     return lo, hi
 
 
-def count_zeros(fn, grid: ScanGrid, vectorized: bool = False) -> ZeroCount:
+def count_zeros(fn, grid: ScanGrid, *, vectorized: bool = True) -> ZeroCount:
     """Count zeros of `fn` on [grid.a, grid.b) by sign changes.
 
-    Each sign change is refined by bisection to width 1e-12 * (b - a); exact
-    zeros at grid points are counted once with a degenerate bracket. The
-    `stable` flag records whether a recount at half the grid step agrees.
-    Pass vectorized=True when `fn` accepts an ndarray of points.
+    `fn` takes an ndarray of points and is called once, on the grid with
+    every gap halved. The count comes from the grid's own points (the even
+    indices); `stable` records whether all points give the same count.
+    `vectorized` is ignored, and accepted for callers that still pass it.
+    """
+    fine = _values(fn, grid._points(2))
+    n = int(np.count_nonzero(_zero_gaps(fine[::2])))
+    return ZeroCount(count=n, stable=bool(np.count_nonzero(_zero_gaps(fine)) == n))
+
+
+def locate_zeros(fn, grid: ScanGrid) -> np.ndarray:
+    """Brackets (lo, hi), shape (count, 2), of the zeros `count_zeros` counts
+    on the grid, each refined by bisection to width 1e-12 * (b - a). An exact
+    zero at a grid point gets the degenerate bracket (x, x).
     """
     pts = grid.points()
-    vals = _values(fn, pts, vectorized)
+    vals = _values(fn, pts)
     gaps = np.flatnonzero(_zero_gaps(vals))
-    n = gaps.size
-    fs = _scalar_fn(fn, vectorized)
     tol = 1e-12 * (grid.b - grid.a)
-    locs = np.empty((n, 2))
+    locs = np.empty((gaps.size, 2))
     for j, i in enumerate(gaps):
         if vals[i] == 0.0:
             locs[j] = pts[i], pts[i]
         else:
-            locs[j] = _refine(fs, float(pts[i]), float(pts[i + 1]), vals[i] > 0.0, tol)
-    half = _values(fn, grid.half_step().points(), vectorized)
-    n_half = np.count_nonzero(_zero_gaps(half))
-    return ZeroCount(count=n, locations=locs, stable=bool(n_half == n), grid=grid)
+            locs[j] = _refine(fn, float(pts[i]), float(pts[i + 1]), vals[i] > 0.0, tol)
+    return locs
 
 
 def rice_density(x, gamma: float):

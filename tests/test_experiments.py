@@ -39,6 +39,9 @@ def small_config(**kw):
         dict(law="rademacher"),
         dict(master_seed=5.7),
         dict(master_seed=-1),
+        dict(trials=2.5),
+        dict(n_min=1.5, n_max=2),
+        dict(n_max=6.5),
     ],
 )
 def test_config_rejects_bad_fields(kw):
@@ -173,13 +176,9 @@ def test_tiling_matches_direct_count_on_fixed_samples():
     K = truncation_degree(seq, policy)
     for seed in range(12):
         s = draw_sample(seq, CoefficientLaw.RADEMACHER, seed, K, policy=policy)
-        direct = count_zeros(s.evaluate_many, ScanGrid(0.0, b_full), vectorized=True)
+        direct = count_zeros(s.evaluate_many, ScanGrid(0.0, b_full))
         tiled = sum(
-            count_zeros(
-                s.evaluate_many,
-                ScanGrid(1 - 0.5**n, 1 - 0.5 ** (n + 1)),
-                vectorized=True,
-            ).count
+            count_zeros(s.evaluate_many, ScanGrid(1 - 0.5**n, 1 - 0.5 ** (n + 1))).count
             for n in range(4)
         )
         assert direct.count == tiled
@@ -202,11 +201,14 @@ def test_oracle_degenerate_interval_is_exact():
     assert g.count_hist == {0: 7}
 
 
-@pytest.mark.parametrize("args", [(0.0, 1.0, 2.0), (1.0, 0.0, 2.0), (1.0, 3.0, 2.0)])
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 1.0, 2.0, 5), (1.0, 0.0, 2.0, 5), (1.0, 3.0, 2.0, 5), (1.0, 1.0, 2.0, 2.5)],
+)
 def test_oracle_rejects_bad_domain(args):
-    gamma, a, b = args
+    gamma, a, b, trials = args
     with pytest.raises(ValueError):
-        run_gaussian_oracle(gamma, a, b, trials=5)
+        run_gaussian_oracle(gamma, a, b, trials=trials)
 
 
 def test_oracle_rejects_non_integer_seed():

@@ -8,6 +8,7 @@ from taylorzeros.roots import (
     ScanGrid,
     count_zeros,
     exact_count_small,
+    locate_zeros,
     path_zero_counts,
     rice_density,
 )
@@ -47,27 +48,49 @@ class TestScanGrid:
 
 
 class TestCountZeros:
+    @pytest.mark.parametrize(
+        "grid",
+        [ScanGrid(0.1, 0.9), ScanGrid(0.2, 0.8, 0.05), ScanGrid(1 - 2**-6, 1 - 2**-7)],
+    )
+    def test_one_call_on_the_halved_grid(self, grid):
+        # the count must come from the grid's own points, bit for bit, and
+        # the stability recount must cost no second evaluation
+        seen = []
+
+        def fn(x):
+            seen.append(x.copy())
+            return np.sin(200.0 * x)
+
+        zc = count_zeros(fn, grid)
+        assert len(seen) == 1
+        fine, pts = seen[0], grid.points()
+        assert fine.size == 2 * pts.size - 1
+        assert np.array_equal(fine[::2], pts)
+        assert zc.count == path_zero_counts(fn(pts))
+
     def test_two_planted_roots(self):
         g = ScanGrid(0.0, 0.95, eta=0.05)
-        zc = count_zeros(lambda x: (x - 0.3) * (x - 0.6), g)
+        fn = lambda x: (x - 0.3) * (x - 0.6)
+        zc = count_zeros(fn, g)
         assert zc.count == 2
         assert zc.stable
-        mids = zc.locations.mean(axis=1)
+        locs = locate_zeros(fn, g)
+        mids = locs.mean(axis=1)
         assert mids[0] == pytest.approx(0.3, abs=1e-10)
         assert mids[1] == pytest.approx(0.6, abs=1e-10)
-        for lo, hi in zc.locations:
+        for lo, hi in locs:
             assert (lo - 0.3) * (lo - 0.6) * ((hi - 0.3) * (hi - 0.6)) <= 0.0
 
     def test_no_zeros(self):
-        zc = count_zeros(lambda x: 1.0, ScanGrid(0.1, 0.9))
+        zc = count_zeros(lambda x: np.ones_like(x), ScanGrid(0.1, 0.9))
         assert zc.count == 0 and zc.stable
+        assert locate_zeros(lambda x: np.ones_like(x), ScanGrid(0.1, 0.9)).shape == (0, 2)
 
     def test_exact_zero_on_grid_point(self):
         g = ScanGrid(0.1, 0.9, eta=0.05)
         target = float(g.points()[3])
-        zc = count_zeros(lambda x: x - target, g)
-        assert zc.count == 1
-        lo, hi = zc.locations[0]
+        assert count_zeros(lambda x: x - target, g).count == 1
+        lo, hi = locate_zeros(lambda x: x - target, g)[0]
         assert lo == hi == target
 
     def test_zero_at_right_endpoint_excluded(self):
@@ -78,12 +101,14 @@ class TestCountZeros:
         g = ScanGrid(0.1, 0.9, eta=0.05)
         assert count_zeros(lambda x: x - 0.1, g).count == 1
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_tiny_values_still_count(self, vectorized):
+    def test_tiny_values_still_count(self):
         # 1e-200 * 1e-200 underflows to 0: the rule must compare signs
-        zc = count_zeros(lambda x: 1e-200 * (x - 0.5), ScanGrid(0.1, 0.9), vectorized)
+        fn = lambda x: 1e-200 * (x - 0.5)
+        zc = count_zeros(fn, ScanGrid(0.1, 0.9))
         assert zc.count == 1 and zc.stable
-        assert zc.locations[0].mean() == pytest.approx(0.5, abs=1e-10)
+        locs = locate_zeros(fn, ScanGrid(0.1, 0.9))
+        assert locs.shape == (1, 2)
+        assert locs[0].mean() == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_path_zero_counts_on_planted_zeros(self):
         # value arrays with exact zeros (ends included) and near-underflow
@@ -96,19 +121,14 @@ class TestCountZeros:
             vals[rng.random(pts.size) < 0.15] = 0.0
             if trial % 2:
                 vals[[0, -1]] = 0.0
-            zc = count_zeros(lambda x: np.interp(x, pts, vals), g, vectorized=True)
+            zc = count_zeros(lambda x: np.interp(x, pts, vals), g)
             assert zc.count == path_zero_counts(vals)
-
-    def test_vectorized_matches_scalar(self):
-        fn = poly_fn(planted_corpus(1, 5)[0][0])
-        g = ScanGrid(*SCAN_INTERVAL, eta=0.003)
-        assert count_zeros(fn, g, vectorized=True).count == count_zeros(fn, g).count
 
     def test_nonfinite_eval_raises_with_location(self):
         bad = 0.437
 
         def fn(x):
-            return math.nan if abs(x - bad) < 0.05 else 1.0
+            return np.where(np.abs(x - bad) < 0.05, math.nan, 1.0)
 
         with pytest.raises(EvaluationError) as err:
             count_zeros(fn, ScanGrid(0.1, 0.9, eta=0.01))
@@ -131,9 +151,10 @@ class TestCountZeros:
         # u-step small enough that 0.02-separated roots cannot share a cell
         g = ScanGrid(*SCAN_INTERVAL, eta=0.003)
         for coeffs, m in planted_corpus(200, seed=20240501):
-            zc = count_zeros(poly_fn(coeffs), g, vectorized=True)
+            zc = count_zeros(poly_fn(coeffs), g)
             assert zc.count == m == path_zero_counts(poly_fn(coeffs)(g.points()))
             assert zc.stable
+            assert len(locate_zeros(poly_fn(coeffs), g)) == zc.count
 
 
 class TestExactCount:
@@ -187,7 +208,7 @@ class TestExactCount:
         polys = random_corpus(120, 20, seed=77)
         for c in polys:
             exact = exact_count_small(c, SCAN_INTERVAL)
-            got = count_zeros(poly_fn(c), g, vectorized=True).count
+            got = count_zeros(poly_fn(c), g).count
             assert got == path_zero_counts(poly_fn(c)(g.points()))
             if got == exact:
                 agree += 1
