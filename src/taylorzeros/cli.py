@@ -142,9 +142,9 @@ def _cmd_simulate(args) -> int:
         config = replace(config, master_seed=args.seed)
     args._replay_seed = config.master_seed
     out_dir = _resolve_out(args.out)
-    estimates = run_interval_experiment(config, jobs=args.jobs)
+    estimates = run_interval_experiment(config)
     r_list = [1.0 - config.q ** (n + 1) for n in range(config.n_min, config.n_max + 1)]
-    slope = run_cumulative(config, r_list, jobs=args.jobs)
+    slope = run_cumulative(config, r_list, known=estimates)
     _write(out_dir, "intervals.csv", interval_csv_text(config, estimates))
     _write(out_dir, "cumulative.csv", cumulative_csv_text(slope))
     report = build_report("simulate", config.to_dict(), intervals=estimates, slope=slope)
@@ -166,12 +166,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gauss_oracle(args) -> int:
-    if args.gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {args.gamma}")
-    if not (0 < args.a < args.b):
+    if not (0 < args.a < args.b):  # the library also takes a == b
         raise ConfigError(f"need 0 < a < b, got a={args.a}, b={args.b}")
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     summary = run_gaussian_oracle(
         args.gamma, args.a, args.b, trials=args.trials, eta=args.eta, seed=args.seed
     )
@@ -195,10 +191,6 @@ def _cmd_gauss_oracle(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    if args.gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {args.gamma}")
-    if not (0 < args.q < 1):
-        raise ConfigError(f"q must be in (0, 1), got {args.q}")
     if not (1 <= args.n_min <= args.n_max):
         raise ConfigError(f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
     seq = CoefficientSequence(args.gamma, parse_slow_spec(args.slow))
@@ -215,10 +207,7 @@ def _cmd_diagnostics(args) -> int:
 
 
 def _cmd_abel_check(args) -> int:
-    try:
-        seq = CoefficientSequence(args.gamma, parse_slow_spec(args.slow))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    seq = CoefficientSequence(args.gamma, parse_slow_spec(args.slow))
     try:
         a_list = [float(s) for s in args.a_list.split(",") if s.strip()]
     except ValueError:
@@ -250,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="interval + cumulative experiments")
     p_sim.add_argument("--config", required=True, help="key=value config file")
     p_sim.add_argument("--out", default=None, help="output directory")
-    p_sim.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_sim.add_argument("--jobs", type=int, default=1, help="ignored; trials run in one process")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override master_seed from the config")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -14,10 +14,13 @@ Four runners, one per question:
   laws, reporting pairwise mean differences (which should vanish within
   noise: the limit does not feel the law).
 
+`run_interval_experiment` ignores its `jobs` argument (the benchmark passes it).
+
 Reproducibility contract: trial t of interval n draws its generator from
-SeedSequence(master_seed, spawn_key=(n, t)) via `trial_rng`. Results land in
-arrays indexed by t, so the aggregate is a pure function of the config no
-matter how many workers ran the trials or in what order they finished. Trial
+SeedSequence(master_seed, spawn_key=(n, t)) via `trial_rng`. The trials run
+in one process, one after another, and each trial's values depend only on
+its own draw (one vector-matrix product per table block, never a product
+over several trials), so trial t gets the same values whatever M is. Trial
 seeds do not depend on the law, so rerunning with the identical law gives
 bitwise identical results (and cross-law comparisons are seed-coupled).
 """
@@ -26,17 +29,19 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .coeffs import CoefficientSequence, Constant, LogLog, LogPower
 from .gauss import PathSampler, expected_zeros_rice
-from .roots import ScanGrid, count_zeros, path_zero_counts
+# count_zeros and draw_sample are not called here; the benchmark's tracer
+# wraps them by their names on this module, so the names must stay bound.
+from .roots import ScanGrid, _finite, count_zeros, path_zero_counts
 from .sampling import (
     CoefficientLaw,
     TruncationPolicy,
+    _PowerTable,
     draw_sample,
     trial_rng,
     truncation_degree,
@@ -204,55 +209,31 @@ class UniversalityReport:
         }
 
 
-def _interval_trials(
-    config: ExperimentConfig, n: int, K: int, a: float, b: float, lo: int, hi: int
-):
-    """Run trials lo..hi-1 on [a, b); n enters only through the seed key."""
-    seq = config.seq
-    policy = TruncationPolicy(b, config.delta)
-    grid = ScanGrid(a, b, config.eta, config.gamma)
-    counts = np.empty(hi - lo, dtype=np.int64)
-    unstable = np.empty(hi - lo, dtype=bool)
-    for t in range(lo, hi):
+def _interval_values(config: ExperimentConfig, n: int, a: float, b: float):
+    """Trial values on the halved grid of [a, b), shape (points, M); n enters
+    only through the seed key. The grid, the c_k and the power table are
+    built once; a trial is one draw and one weighted sum, the arithmetic of
+    `draw_sample(...).evaluate_many(points)`, so the values match it bit for
+    bit. A non-finite value raises EvaluationError at its point."""
+    K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
+    pts = ScanGrid(a, b, config.eta, config.gamma)._points(2)
+    c = config.seq.coeff(np.arange(K + 1))
+    table = _PowerTable(pts, K)
+    vals = np.empty((pts.size, config.trials))
+    for t in range(config.trials):
         ss = np.random.SeedSequence(config.master_seed, spawn_key=(n, t))
-        sample = draw_sample(seq, config.law, ss, K, policy=policy)
-        zc = count_zeros(sample.evaluate_many, grid)
-        counts[t - lo] = zc.count
-        unstable[t - lo] = not zc.stable
-    return lo, counts, unstable
-
-
-def _scan_interval(
-    config: ExperimentConfig, n: int, K: int, a: float, b: float, jobs: int
-):
-    m = config.trials
-    counts = np.empty(m, dtype=np.int64)
-    unstable = np.empty(m, dtype=bool)
-    if jobs <= 1 or m < 4:
-        _, counts[:], unstable[:] = _interval_trials(config, n, K, a, b, 0, m)
-    else:
-        bounds = np.linspace(0, m, min(4 * jobs, m) + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [
-                pool.submit(_interval_trials, config, n, K, a, b, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for fut in futs:
-                lo, c, u = fut.result()
-                counts[lo : lo + c.size] = c
-                unstable[lo : lo + u.size] = u
-    return counts, unstable
+        vals[:, t] = table.weighted_sum(config.law.draw(trial_rng(ss), K + 1) * c)
+    return _finite(pts, vals)
 
 
 def _estimate_interval(
-    config: ExperimentConfig, n: int, jobs: int, b_override: float | None = None
+    config: ExperimentConfig, n: int, b_override: float | None = None
 ) -> IntervalEstimate:
     """One interval's estimate; b_override scans the partial tile [a, r)."""
     a = 1.0 - config.q**n
     b = 1.0 - config.q ** (n + 1) if b_override is None else b_override
-    K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
-    counts, unstable = _scan_interval(config, n, K, a, b, jobs)
+    vals = _interval_values(config, n, a, b)
+    counts = path_zero_counts(vals[::2])  # the grid's own points; vals is halved
     return IntervalEstimate.from_counts(
         counts,
         interval_target(config.gamma, config.q),
@@ -260,16 +241,13 @@ def _estimate_interval(
         a=a,
         b=b,
         law=config.law.value,
-        unstable_fraction=float(unstable.mean()),
+        unstable_fraction=float(np.mean(path_zero_counts(vals) != counts)),
     )
 
 
 def run_interval_experiment(config: ExperimentConfig, jobs: int = 1):
     """Per-interval zero-count estimates for n = n_min..n_max."""
-    return [
-        _estimate_interval(config, n, jobs)
-        for n in range(config.n_min, config.n_max + 1)
-    ]
+    return [_estimate_interval(config, n) for n in range(config.n_min, config.n_max + 1)]
 
 
 def _tiles_for(q: float, r: float):
@@ -281,27 +259,39 @@ def _tiles_for(q: float, r: float):
     return int(math.floor(v)), r
 
 
-def run_cumulative(config: ExperimentConfig, r_list, jobs: int = 1) -> SlopeReport:
+def run_cumulative(config: ExperimentConfig, r_list, *, known=()) -> SlopeReport:
     """Cumulative counts on [0, r) for each r, plus the fitted growth slope.
 
     Tiles [0, r) dyadically, estimates each tile once, and sums the means;
     the config's n_min/n_max are ignored in favor of the tiling r_list
     requires. The slope is least squares over the last ceil(half) points of
     cumulative mean against -log(1-r).
+
+    `known`: estimates `run_interval_experiment(config)` already made; their
+    full tiles are not scanned again. One whose a, b, law, trials or target
+    differ from its tile raises ValueError; an estimate does not record
+    master_seed, slow, delta or eta, so these go unchecked.
     """
     target = math.sqrt(config.gamma) / (2.0 * math.pi)
     rs = sorted(float(r) for r in r_list)
     if any(not (0.0 < r < 1.0) for r in rs):
         raise ValueError("every r must be in (0, 1)")
+    known = {e.n: e for e in known}
+    per_tile = (config.law.value, config.trials, interval_target(config.gamma, config.q))
+    for n, e in known.items():
+        tile = (1.0 - config.q**n, 1.0 - config.q ** (n + 1), *per_tile)
+        if (e.a, e.b, e.law, e.trials, e.target) != tile:
+            raise ValueError(f"known estimate for n={n} does not match its tile")
     if not rs:
         return SlopeReport([], [], [], [], math.nan, target, math.nan, 0)
     plans = {r: _tiles_for(config.q, r) for r in rs}
     deepest = max(m for m, _ in plans.values())
     full = {
-        n: _estimate_interval(config, n, jobs) for n in range(0, deepest)
+        n: known[n] if n in known else _estimate_interval(config, n)
+        for n in range(deepest)
     }
     partial = {
-        r: _estimate_interval(config, m, jobs, b_override=rp)
+        r: _estimate_interval(config, m, b_override=rp)
         for r, (m, rp) in plans.items()
         if rp is not None
     }
@@ -375,14 +365,14 @@ def run_gaussian_oracle(
     )
 
 
-def run_universality(config: ExperimentConfig, laws, jobs: int = 1):
+def run_universality(config: ExperimentConfig, laws):
     """The interval experiment across several laws, with pairwise gaps."""
     laws = list(laws)
     if len(laws) < 2:
         raise ValueError("universality needs at least two laws")
     estimates = {}
     for law in laws:
-        estimates[law.value] = run_interval_experiment(replace(config, law=law), jobs)
+        estimates[law.value] = run_interval_experiment(replace(config, law=law))
     pairs = []
     for i, la in enumerate(laws):
         for lb in laws[i + 1 :]:

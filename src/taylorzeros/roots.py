@@ -101,15 +101,20 @@ class ZeroCount:
     stable: bool
 
 
+def _finite(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """`vals`, else EvaluationError at the first non-finite one (columns in order)."""
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        at = tuple(np.argwhere(bad.T)[0])  # (point,) or (path, point)
+        raise EvaluationError(float(pts[at[-1]]), float(vals.T[at]))
+    return vals
+
+
 def _values(fn, pts: np.ndarray) -> np.ndarray:
     vals = np.asarray(fn(pts), dtype=float)
     if vals.shape != pts.shape:
         raise ValueError(f"fn returned shape {vals.shape} for {pts.shape} points")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvaluationError(float(pts[i]), float(vals[i]))
-    return vals
+    return _finite(pts, vals)
 
 
 def _zero_gaps(v: np.ndarray) -> np.ndarray:

@@ -8,9 +8,9 @@ scale sqrt(v(x)) the truncation then perturbs values by O(delta) at most.
 
 Scalar evaluation runs Horner's scheme with an error-free-transformation
 correction term (TwoSum/TwoProd with a Dekker split), giving results as if
-accumulated in roughly doubled precision. Grid evaluation is vectorized
-through cumulative power tables; the two agree to ~1e-12 relative and the
-test suite pins that.
+accumulated in roughly doubled precision. Grid evaluation sums blocked
+cumulative power tables (`_PowerTable`, built once per interval by the
+experiments); the two agree to ~1e-12 relative and the test suite pins that.
 
 Reproducibility: generators are counter-based (Philox) and every consumer
 in the package gets them from `trial_rng`, the one seed derivation, so a
@@ -174,27 +174,15 @@ class SeriesSample:
         return _comp_horner(self.weights, float(x))
 
     def evaluate_many(self, xs) -> np.ndarray:
-        """f at an array of points, via blocked cumulative power tables."""
+        """f at an array of points, via blocked cumulative power tables.
+
+        Each block is summed by a BLAS vector-matrix product whose summation
+        order depends on the number of points, so f at a point can differ in
+        the last bits with the other points in the same call.
+        """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         self._check_domain(xs)
-        w = self.weights
-        out = np.full(xs.shape, w[0], dtype=float)
-        K = self.K
-        if K == 0:
-            return out
-        base = None  # xs^lo carried across blocks
-        lo = 1
-        block = max(1, _EVAL_BLOCK // max(1, xs.size))
-        while lo <= K:
-            m = min(block, K - lo + 1)
-            P = np.tile(xs, (m, 1))
-            np.cumprod(P, axis=0, out=P)  # rows: xs^1 .. xs^m
-            if base is not None:
-                P *= base
-            out += self.weights[lo : lo + m] @ P
-            base = P[-1].copy()
-            lo += m
-        return out
+        return _PowerTable(xs, self.K).weighted_sum(self.weights)
 
     def evaluate_normalized(self, x: float) -> float:
         """f(x) / sqrt(v(x)); the normalized value has unit variance."""
@@ -202,6 +190,34 @@ class SeriesSample:
         if v <= 0.0:
             raise ValueError(f"variance vanishes at x={x}; cannot normalize")
         return self.evaluate(x) / math.sqrt(v)
+
+
+class _PowerTable:
+    """Rows xs^1..xs^K in blocks of at most _EVAL_BLOCK elements (one row at
+    least), summed against weight vectors. One block is built once and kept;
+    more are rebuilt per sum, so memory stays at one block."""
+
+    def __init__(self, xs: np.ndarray, K: int):
+        self.xs, self.K = xs, K
+        self.rows = max(1, _EVAL_BLOCK // max(1, xs.size))
+        self.kept = list(self._blocks()) if K <= self.rows else None
+
+    def _blocks(self):
+        base = None  # xs^(lo-1), carried across blocks
+        for lo in range(1, self.K + 1, self.rows):
+            P = np.tile(self.xs, (min(self.rows, self.K - lo + 1), 1))
+            np.cumprod(P, axis=0, out=P)  # rows: xs^1 .. xs^m
+            if base is not None:
+                P *= base
+            base = P[-1].copy()
+            yield lo, P
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """sum_{k=0}^K w_k xs^k, one vector-matrix product per block."""
+        out = np.full(self.xs.shape, w[0], dtype=float)
+        for lo, P in self._blocks() if self.kept is None else self.kept:
+            out += w[lo : lo + len(P)] @ P
+        return out
 
 
 def draw_sample(

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import taylorzeros.experiments as experiments_mod
+import taylorzeros.sampling as sampling_mod
 from taylorzeros.experiments import (
     ExperimentConfig,
+    _interval_values,
     _tiles_for,
     interval_target,
     run_cumulative,
@@ -12,7 +15,13 @@ from taylorzeros.experiments import (
     run_interval_experiment,
     run_universality,
 )
-from taylorzeros.sampling import CoefficientLaw
+from taylorzeros.roots import EvaluationError, ScanGrid, path_zero_counts
+from taylorzeros.sampling import (
+    CoefficientLaw,
+    TruncationPolicy,
+    draw_sample,
+    truncation_degree,
+)
 
 
 def small_config(**kw):
@@ -94,6 +103,69 @@ def test_worker_count_does_not_change_results():
     assert [e.__dict__ for e in serial] == [e.__dict__ for e in pooled]
 
 
+def _tile(cfg, n):
+    return 1 - cfg.q**n, 1 - cfg.q ** (n + 1)
+
+
+def _evaluate_many_columns(cfg, n, a, b):
+    """Trial values the slow way: one draw_sample and evaluate_many each."""
+    policy = TruncationPolicy(b, cfg.delta)
+    K = truncation_degree(cfg.seq, policy)
+    pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
+    cols = []
+    for t in range(cfg.trials):
+        ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(n, t))
+        cols.append(draw_sample(cfg.seq, cfg.law, ss, K, policy).evaluate_many(pts))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("law", list(CoefficientLaw))
+@pytest.mark.parametrize("n", [0, 4, 10])
+def test_engine_matches_evaluate_many_bitwise(law, n):
+    cfg = small_config(law=law, trials=6)
+    a, b = _tile(cfg, n)
+    assert np.array_equal(_interval_values(cfg, n, a, b), _evaluate_many_columns(cfg, n, a, b))
+
+
+def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
+    # 13 points and 64-element blocks: 4 powers per block, 128 blocks at K=512
+    monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", 64)
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=5)
+    a, b = _tile(cfg, 4)
+    vals = _interval_values(cfg, 4, a, b)
+    assert vals.shape == (13, 5)
+    assert np.array_equal(vals, _evaluate_many_columns(cfg, 4, a, b))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_trial_values_do_not_depend_on_trial_count(m):
+    # trial t's values are a function of t alone, so M=m is a prefix of M=14;
+    # one matrix product over stacked trials fails this at m=1 and m=2
+    a, b = _tile(small_config(), 10)
+    short = _interval_values(small_config(trials=m), 10, a, b)
+    long = _interval_values(small_config(trials=14), 10, a, b)
+    assert np.array_equal(long[:, :m], short)
+    assert np.array_equal(path_zero_counts(long[::2])[:m], path_zero_counts(short[::2]))
+
+
+def test_nonfinite_draw_raises_evaluation_error(monkeypatch):
+    draw = CoefficientLaw.draw
+    calls = []
+
+    def nan_on_third_trial(self, rng, size):
+        xi = draw(self, rng, size)
+        calls.append(size)
+        if len(calls) == 3:
+            xi[1] = np.nan
+        return xi
+
+    monkeypatch.setattr(CoefficientLaw, "draw", nan_on_third_trial)
+    cfg = small_config(n_min=5, n_max=5, trials=4)
+    with pytest.raises(EvaluationError) as err:
+        run_interval_experiment(cfg)
+    assert err.value.x == _tile(cfg, 5)[0] and math.isnan(err.value.value)
+
+
 def test_single_trial_gives_nan_spread_without_crashing():
     e = run_interval_experiment(small_config(trials=1))[0]
     assert math.isfinite(e.mean_count)
@@ -145,6 +217,36 @@ def test_cumulative_matches_interval_sums_on_dyadic_grid():
         s == pytest.approx(math.sqrt(sum(e.stderr**2 for e in ests[:j + 1])), abs=0)
         for j, s in enumerate(rep.cumulative_stderrs)
     )
+
+
+def test_cumulative_reuses_known_tiles(monkeypatch):
+    cfg = small_config(n_min=2, n_max=4, trials=20)
+    rs = [1 - 0.5 ** (n + 1) for n in range(2, 5)]
+    ests = run_interval_experiment(cfg)
+    scanned = []
+    estimate = experiments_mod._estimate_interval
+
+    def counting(config, n, b_override=None):
+        scanned.append(n)
+        return estimate(config, n, b_override)
+
+    monkeypatch.setattr(experiments_mod, "_estimate_interval", counting)
+    reused = run_cumulative(cfg, rs, known=ests)
+    assert scanned == [0, 1]  # tiles 2..4 come from the known estimates
+    assert reused.to_dict() == run_cumulative(cfg, rs).to_dict()
+
+
+@pytest.mark.parametrize(
+    "other",
+    [dict(trials=21), dict(law=CoefficientLaw.GAUSSIAN), dict(q=0.25), dict(gamma=2.0)],
+)
+def test_cumulative_rejects_known_tiles_whose_fields_differ(other):
+    # an estimate records its tile, law, trials and target, not the seed,
+    # slow, delta or eta, so only the recorded fields can be checked
+    base = dict(n_min=2, n_max=3, trials=20)
+    ests = run_interval_experiment(small_config(**{**base, **other}))
+    with pytest.raises(ValueError):
+        run_cumulative(small_config(**base), [0.9], known=ests)
 
 
 def test_cumulative_handles_partial_tiles():
