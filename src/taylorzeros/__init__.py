@@ -37,7 +37,6 @@ from .gauss import (
     cov_z,
     expected_zeros_rice,
     rho_second_derivative,
-    sample_path,
 )
 from .diagnostics import (
     DiagnosticsReport,
@@ -84,7 +83,6 @@ __all__ = [
     "expected_zeros_rice",
     "path_zero_counts",
     "rho_second_derivative",
-    "sample_path",
     "DiagnosticsReport",
     "check_weight_inequalities",
     "rearrange",

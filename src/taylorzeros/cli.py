@@ -142,6 +142,7 @@ def _cmd_simulate(args) -> int:
         config = replace(config, master_seed=args.seed)
     args._replay_seed = config.master_seed
     out_dir = _resolve_out(args.out)
+    # both runners are called by name here: bench/tracing.py wraps them on cli
     estimates = run_interval_experiment(config)
     r_list = [1.0 - config.q ** (n + 1) for n in range(config.n_min, config.n_max + 1)]
     slope = run_cumulative(config, r_list, known=estimates)
@@ -239,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="interval + cumulative experiments")
     p_sim.add_argument("--config", required=True, help="key=value config file")
     p_sim.add_argument("--out", default=None, help="output directory")
-    p_sim.add_argument("--jobs", type=int, default=1, help="ignored; trials run in one process")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override master_seed from the config")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -278,11 +278,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # validation surfaced below the CLI layer
+    except ValueError as exc:  # ConfigError, or validation below the CLI layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MemoryError, OSError) as exc:

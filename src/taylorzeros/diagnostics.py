@@ -148,7 +148,7 @@ def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:
 @dataclass
 class DiagnosticsRow:
     n: int
-    K: int
+    K: int | None  # None on a skipped row whose K is too large to form
     skipped: bool = False
     note: str = ""
     b0_sq: float = math.nan
@@ -208,7 +208,7 @@ class DiagnosticsReport:
         ]
         for r in self.rows:
             if r.skipped:
-                lines.append(f"{r.n:3d} {r.K:>8d}  skipped: {r.note}")
+                lines.append(f"{r.n:3d} {r.K or '-':>8}  skipped: {r.note}")
                 continue
             lines.append(
                 f"{r.n:3d} {r.K:>8d}  {'ok' if r.b0_ok else 'VIOLATED':>16s} "
@@ -229,17 +229,20 @@ def check_weight_inequalities(
     """Tabulate the five weight-array checks over n in n_range.
 
     K(n) = ceil(40 n q^{-n}); rows beyond `budget` elements are skipped with
-    a notice instead of raising.
+    a notice instead of raising. A K far past the budget is judged by its
+    logarithm and left as None, since q^{-n} may not fit in a float.
     """
     rows = []
     for n in n_range:
         _validate_nq(n, q)
-        K = math.ceil(40.0 * n * q**-n)
-        if K + 1 > budget:
+        log_k = math.log(40.0 * n) - n * math.log(q)
+        K = math.ceil(40.0 * n * q**-n) if log_k < math.log(budget) + 1.0 else None
+        if K is None or K + 1 > budget:
+            size = K if K is not None else f"~1e{log_k / math.log(10.0):.0f}"
             rows.append(
                 DiagnosticsRow(
                     n=n, K=K, skipped=True,
-                    note=f"K={K} exceeds the {budget}-element budget",
+                    note=f"K={size} exceeds the {budget}-element budget",
                 )
             )
             continue

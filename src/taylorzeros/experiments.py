@@ -14,7 +14,8 @@ Four runners, one per question:
   laws, reporting pairwise mean differences (which should vanish within
   noise: the limit does not feel the law).
 
-`run_interval_experiment` ignores its `jobs` argument (the benchmark passes it).
+`run_interval_experiment` ignores its `jobs` argument; it is kept only because
+the benchmark's `SimulatePreset.jobs2_speedup` (bench/workloads.py) passes it.
 
 Reproducibility contract: trial t of interval n draws its generator from
 SeedSequence(master_seed, spawn_key=(n, t)) via `trial_rng`. The trials run
@@ -34,9 +35,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coeffs import CoefficientSequence, Constant, LogLog, LogPower
-from .gauss import PathSampler, expected_zeros_rice
-# count_zeros and draw_sample are not called here; the benchmark's tracer
-# wraps them by their names on this module, so the names must stay bound.
+from .gauss import _MAX_PATH_GRID, PathSampler, expected_zeros_rice
+# count_zeros and draw_sample are unused: bench/tracing.py wraps them on this module
 from .roots import ScanGrid, _finite, count_zeros, path_zero_counts
 from .sampling import (
     CoefficientLaw,
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_MAX_ORACLE_GRID = 10_000
 _ORACLE_CHUNK = 2048
 
 
@@ -96,10 +95,10 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not (self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
@@ -245,6 +244,7 @@ def _estimate_interval(
     )
 
 
+# jobs is ignored; bench/workloads.py SimulatePreset.jobs2_speedup passes it
 def run_interval_experiment(config: ExperimentConfig, jobs: int = 1):
     """Per-interval zero-count estimates for n = n_min..n_max."""
     return [_estimate_interval(config, n) for n in range(config.n_min, config.n_max + 1)]
@@ -341,6 +341,8 @@ def run_gaussian_oracle(
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
     if not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     rng = trial_rng(seed)
     if a == b:
         return GaussianOracleSummary(
@@ -349,9 +351,9 @@ def run_gaussian_oracle(
     u_lo, u_hi = math.log(a), math.log(b)
     step = eta * 2.0 * math.pi / math.sqrt(gamma)
     gaps = max(1, math.ceil((u_hi - u_lo) / step))
-    if gaps + 1 > _MAX_ORACLE_GRID:
+    if gaps + 1 > _MAX_PATH_GRID:
         raise ValueError(
-            f"{gaps + 1} grid points exceed the {_MAX_ORACLE_GRID} sampler cap"
+            f"{gaps + 1} grid points exceed the {_MAX_PATH_GRID} sampler cap"
         )
     sampler = PathSampler(np.linspace(u_lo, u_hi, gaps + 1), gamma)
     counts = np.empty(trials, dtype=np.int64)

@@ -20,22 +20,17 @@ counted by `roots.path_zero_counts`, the same half-open rule as series scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import trial_rng
-
 __all__ = [
     "CovarianceConditioningError",
-    "GaussianPath",
     "PathSampler",
     "cov_z",
     "cov_y",
     "rho_second_derivative",
     "rho_second_derivative_fd",
     "expected_zeros_rice",
-    "sample_path",
 ]
 
 _MAX_PATH_GRID = 10_000
@@ -137,30 +132,10 @@ class PathSampler:
                 f"Cholesky failed at jitter {_JITTERS[-1]} on {u.size} points"
             )
 
-    def sample(self, seed) -> np.ndarray:
-        """One path; deterministic in (grid, gamma, seed)."""
-        return self.draw(trial_rng(seed), 1)[:, 0]
-
-    def sample_many(self, seed, m: int) -> np.ndarray:
-        """(npoints, m) array of independent paths from one seed."""
-        return self.draw(trial_rng(seed), m)
-
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """Like sample_many but advances a caller-owned generator."""
+        """(npoints, m) array of independent paths, drawn from `rng`;
+        `draw(sampling.trial_rng(seed), m)` is deterministic in (grid, gamma, seed, m)."""
         if m < 1:
             raise ValueError("m must be >= 1")
         return self._chol @ rng.standard_normal((self.u.size, m))
 
-
-@dataclass
-class GaussianPath:
-    u: np.ndarray
-    values: np.ndarray
-    gamma: float
-    seed: object
-
-
-def sample_path(grid, gamma: float, seed) -> GaussianPath:
-    """Draw Y on the given u-grid (<= 1e4 points, strictly increasing)."""
-    sampler = PathSampler(grid, gamma)
-    return GaussianPath(u=sampler.u, values=sampler.sample(seed), gamma=gamma, seed=seed)

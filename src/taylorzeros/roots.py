@@ -68,8 +68,8 @@ class ScanGrid:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b < 1.0):
             raise ValueError(f"need 0 <= a < b < 1, got [{self.a}, {self.b}]")
-        if not (self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not (self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
@@ -152,7 +152,7 @@ def count_zeros(fn, grid: ScanGrid, *, vectorized: bool = True) -> ZeroCount:
     `fn` takes an ndarray of points and is called once, on the grid with
     every gap halved. The count comes from the grid's own points (the even
     indices); `stable` records whether all points give the same count.
-    `vectorized` is ignored, and accepted for callers that still pass it.
+    `vectorized` is ignored; the `oracles` audit in bench/workloads.py passes it.
     """
     fine = _values(fn, grid._points(2))
     n = int(np.count_nonzero(_zero_gaps(fine[::2])))

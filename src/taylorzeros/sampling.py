@@ -89,8 +89,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 < self.r_max < 1.0):
             raise ValueError(f"r_max must be in (0, 1), got {self.r_max}")
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
 def truncation_degree(seq: CoefficientSequence, policy: TruncationPolicy) -> int:

@@ -134,14 +134,12 @@ def test_out_dir_env_override(tiny_cfg, tmp_path, monkeypatch):
     assert (flag_dir / "intervals.csv").exists()
 
 
-def test_simulate_respects_jobs_flag(tiny_cfg, tmp_path):
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(["simulate", "--config", str(tiny_cfg), "--out", str(out1)]) == 0
-    assert main(
-        ["simulate", "--config", str(tiny_cfg), "--out", str(out2), "--jobs", "2"]
-    ) == 0
-    assert (out1 / "intervals.csv").read_bytes() == (out2 / "intervals.csv").read_bytes()
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+def test_simulate_rejects_jobs_flag(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "j"
+    code = main(["simulate", "--config", str(tiny_cfg), "--out", str(out), "--jobs", "2"])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ gauss-oracle
@@ -176,6 +174,8 @@ def test_gauss_oracle_writes_valid_report(tmp_path):
         ["gauss-oracle", "--gamma", "1", "--a", "2", "--b", "2"],
         ["gauss-oracle", "--gamma", "0", "--a", "1", "--b", "2"],
         ["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "2", "-M", "0"],
+        ["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "100", "-M", "50", "--eta", "-1"],
+        ["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "100", "-M", "50", "--eta", "0"],
     ],
 )
 def test_gauss_oracle_validation_exits_2(argv, capsys):
@@ -194,9 +194,9 @@ def test_diagnostics_default_window(capsys):
     assert "largest-weight bound holds from n0=2" in out
 
 
-def test_diagnostics_skipped_rows_still_exit_0(capsys):
-    code = main(["diagnostics", "--gamma", "1", "--q", "0.5",
-                 "--n-min", "26", "--n-max", "26"])
+@pytest.mark.parametrize("n", ["26", "1100"])
+def test_diagnostics_skipped_rows_still_exit_0(n, capsys):
+    code = main(["diagnostics", "--gamma", "1", "--q", "0.5", "--n-min", n, "--n-max", n])
     assert code == 0
     assert "skipped" in capsys.readouterr().out
 

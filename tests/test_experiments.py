@@ -44,7 +44,11 @@ def small_config(**kw):
         dict(n_min=8, n_max=5),
         dict(trials=0),
         dict(delta=0.0),
+        dict(delta=1.0),
+        dict(delta=math.inf),
         dict(eta=0.0),
+        dict(eta=math.inf),
+        dict(eta=math.nan),
         dict(law="rademacher"),
         dict(master_seed=5.7),
         dict(master_seed=-1),
@@ -95,12 +99,6 @@ def test_interval_run_is_deterministic():
     a = run_interval_experiment(small_config())
     b = run_interval_experiment(small_config())
     assert [e.__dict__ for e in a] == [e.__dict__ for e in b]
-
-
-def test_worker_count_does_not_change_results():
-    serial = run_interval_experiment(small_config(), jobs=1)
-    pooled = run_interval_experiment(small_config(), jobs=3)
-    assert [e.__dict__ for e in serial] == [e.__dict__ for e in pooled]
 
 
 def _tile(cfg, n):
@@ -305,12 +303,22 @@ def test_oracle_degenerate_interval_is_exact():
 
 @pytest.mark.parametrize(
     "args",
-    [(0.0, 1.0, 2.0, 5), (1.0, 0.0, 2.0, 5), (1.0, 3.0, 2.0, 5), (1.0, 1.0, 2.0, 2.5)],
+    [
+        (0.0, 1.0, 2.0, 5, 0.01),
+        (1.0, 0.0, 2.0, 5, 0.01),
+        (1.0, 3.0, 2.0, 5, 0.01),
+        (1.0, 1.0, 2.0, 2.5, 0.01),
+        (1.0, 1.0, 100.0, 5, -1.0),
+        (1.0, 1.0, 100.0, 5, 0.0),
+        (1.0, 1.0, 100.0, 5, math.nan),
+        (1.0, 1.0, 100.0, 5, math.inf),
+        (1.0, 2.0, 2.0, 5, -1.0),
+    ],
 )
 def test_oracle_rejects_bad_domain(args):
-    gamma, a, b, trials = args
+    gamma, a, b, trials, eta = args
     with pytest.raises(ValueError):
-        run_gaussian_oracle(gamma, a, b, trials=trials)
+        run_gaussian_oracle(gamma, a, b, trials=trials, eta=eta)
 
 
 def test_oracle_rejects_non_integer_seed():

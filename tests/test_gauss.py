@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from taylorzeros.gauss import (
-    GaussianPath,
     PathSampler,
     cov_y,
     cov_z,
     expected_zeros_rice,
     rho_second_derivative,
     rho_second_derivative_fd,
-    sample_path,
 )
 from taylorzeros.roots import path_zero_counts
+from taylorzeros.sampling import trial_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,23 +89,22 @@ class TestRiceCount:
 
 class TestPathSampler:
     def test_deterministic(self):
-        u = np.linspace(0.0, TWO_PI, 101)
-        p1 = sample_path(u, 1.0, 42)
-        p2 = sample_path(u, 1.0, 42)
-        assert isinstance(p1, GaussianPath)
-        assert np.array_equal(p1.values, p2.values)
-        assert not np.array_equal(p1.values, sample_path(u, 1.0, 43).values)
+        s = PathSampler(np.linspace(0.0, TWO_PI, 101), 1.0)
+        p1 = s.draw(trial_rng(42), 1)
+        assert p1.shape == (101, 1)
+        assert np.array_equal(p1, PathSampler(s.u, 1.0).draw(trial_rng(42), 1))
+        assert not np.array_equal(p1, s.draw(trial_rng(43), 1))
 
     def test_pointwise_variance(self):
         s = PathSampler(np.array([0.0]), 1.0)
-        vals = s.sample_many(7, 100_000)[0]
+        vals = s.draw(trial_rng(7), 100_000)[0]
         stderr = math.sqrt(2.0 / vals.size)  # var of chi2 mean
         assert abs(np.mean(vals**2) - 1.0) < 4.0 * stderr
 
     def test_two_point_correlation(self):
         # distance 2 log 3 has correlation 0.6
         s = PathSampler(np.array([0.0, 2.0 * math.log(3.0)]), 1.0)
-        x, y = s.sample_many(11, 100_000)
+        x, y = s.draw(trial_rng(11), 100_000)
         rho = np.corrcoef(x, y)[0, 1]
         stderr = (1.0 - 0.6**2) / math.sqrt(x.size)
         assert abs(rho - 0.6) < 4.0 * stderr
@@ -115,7 +113,7 @@ class TestPathSampler:
         u = np.linspace(0.0, 3.0, 8)
         s = PathSampler(u, 2.0)
         m = 20_000
-        paths = s.sample_many(5, m)
+        paths = s.draw(trial_rng(5), m)
         emp = paths @ paths.T / m
         want = cov_y(u[:, None] - u[None, :], 2.0)
         stderr = np.sqrt((1.0 + want**2) / m)
@@ -125,7 +123,7 @@ class TestPathSampler:
         u = np.concatenate([np.linspace(0.0, 1.0, 50), [1.0 + 1e-9]])
         s = PathSampler(u, 1.0)
         assert s.jitter in (0.0, 1e-12, 1e-10, 1e-8)
-        assert np.all(np.isfinite(s.sample(0)))
+        assert np.all(np.isfinite(s.draw(trial_rng(0), 1)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -157,7 +155,7 @@ class TestPathZeroCounts:
                 step = 0.02 * TWO_PI / math.sqrt(gamma)
                 npts = int(math.ceil(T / step)) + 1
                 sampler = PathSampler(np.linspace(0.0, T, npts), gamma)
-                counts = path_zero_counts(sampler.sample_many(31, m), axis=0)
+                counts = path_zero_counts(sampler.draw(trial_rng(31), m), axis=0)
                 want = math.sqrt(gamma) / TWO_PI * T
                 stderr = counts.std(ddof=1) / math.sqrt(m)
                 assert abs(counts.mean() - want) < 3.0 * stderr + 0.02 * want, (

@@ -37,8 +37,9 @@ class TestScanGrid:
         for a, b in ((-0.1, 0.5), (0.5, 0.5), (0.6, 0.4), (0.5, 1.0)):
             with pytest.raises(ValueError):
                 ScanGrid(a, b)
-        with pytest.raises(ValueError):
-            ScanGrid(0.1, 0.9, eta=0.0)
+        for eta in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                ScanGrid(0.1, 0.9, eta=eta)
         with pytest.raises(ValueError):
             ScanGrid(0.1, 0.9, gamma=-1.0)
 

@@ -62,7 +62,8 @@ class TestTruncation:
                 assert tail <= pol.delta**2 * seq.variance_v(r)
 
     def test_policy_validation(self):
-        for r, d in ((0.0, 1e-6), (1.0, 1e-6), (0.5, 0.0), (0.5, -1.0)):
+        bad = ((0.0, 1e-6), (1.0, 1e-6), (0.5, 0.0), (0.5, -1.0), (0.5, 1.0), (0.5, math.inf))
+        for r, d in bad:
             with pytest.raises(ValueError):
                 TruncationPolicy(r, d)
 
