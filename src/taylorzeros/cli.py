@@ -167,8 +167,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gauss_oracle(args) -> int:
-    if not (0 < args.a < args.b):  # the library also takes a == b
-        raise ConfigError(f"need 0 < a < b, got a={args.a}, b={args.b}")
     summary = run_gaussian_oracle(
         args.gamma, args.a, args.b, trials=args.trials, eta=args.eta, seed=args.seed
     )

@@ -101,6 +101,11 @@ def _scalar_ok(x) -> bool:
     return np.ndim(x) == 0
 
 
+def _check_gamma(gamma: float):
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
     """c_k^2 = k^(gamma-1) L(k) / Gamma(gamma), with c_0 = 0 by default.
@@ -116,8 +121,7 @@ class CoefficientSequence:
     c0_zero: bool = True
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not self.c0_zero and self.gamma < 1:
             raise ValueError("c0_zero=False needs gamma >= 1 (k -> 0 limit diverges)")
 
@@ -179,8 +183,8 @@ class CoefficientSequence:
     def variance_v(self, x: float, rel_tol: float = 1e-12) -> float:
         """v(x) = sum_k c_k^2 x^{2k} with certified relative truncation error.
 
-        Sums in blocks and stops once the geometric tail bound is below
-        rel_tol times the partial sum. Requires 0 <= x < 1.
+        Sums in blocks of 64 terms doubling up to _BLOCK, and stops once the
+        geometric tail bound is below rel_tol times the partial sum; 0 <= x < 1.
         """
         if not (0.0 <= x < 1.0):
             raise ValueError(f"variance_v needs x in [0, 1), got {x}")
@@ -189,14 +193,13 @@ class CoefficientSequence:
         if x == 0.0:
             return self._c0sq
         total = self._c0sq
-        lo = 1
+        lo, size = 1, 64
         while lo < _MAX_TERMS:
-            hi = lo + _BLOCK
+            hi = lo + size
             k = np.arange(lo, hi, dtype=float)
             total += float(np.sum(self.csq(k) * np.exp((2.0 * math.log(x)) * k)))
-            lo = hi
-            tail = self.tail_bound(x, hi - 1)
-            if tail <= rel_tol * total:
+            lo, size = hi, min(2 * size, _BLOCK)
+            if self.tail_bound(x, hi - 1) <= rel_tol * total:
                 return total
         raise RuntimeError(f"variance_v did not converge at x={x}")
 

@@ -18,7 +18,7 @@ Four runners, one per question:
 the benchmark's `SimulatePreset.jobs2_speedup` (bench/workloads.py) passes it.
 
 Reproducibility contract: trial t of interval n draws its generator from
-SeedSequence(master_seed, spawn_key=(n, t)) via `trial_rng`. The trials run
+`trial_rng(master_seed, n, t)`, the one seed derivation. The trials run
 in one process, one after another, and each trial's values depend only on
 its own draw (one vector-matrix product per table block, never a product
 over several trials), so trial t gets the same values whatever M is. Trial
@@ -34,10 +34,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import CoefficientSequence, Constant, LogLog, LogPower
+from .coeffs import CoefficientSequence, Constant, LogLog, LogPower, _check_gamma
 from .gauss import _MAX_PATH_GRID, PathSampler, expected_zeros_rice
 # count_zeros and draw_sample are unused: bench/tracing.py wraps them on this module
-from .roots import ScanGrid, _finite, count_zeros, path_zero_counts
+from .roots import ScanGrid, _check_eta, _finite, _u_grid, count_zeros, path_zero_counts
 from .sampling import (
     CoefficientLaw,
     TruncationPolicy,
@@ -80,8 +80,7 @@ class ExperimentConfig:
     master_seed: int = 2026
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must be in (0, 1), got {self.q}")
         if not isinstance(self.law, CoefficientLaw):
@@ -97,8 +96,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _check_eta(self.eta)
         if not (0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
@@ -220,8 +218,8 @@ def _interval_values(config: ExperimentConfig, n: int, a: float, b: float):
     table = _PowerTable(pts, K)
     vals = np.empty((pts.size, config.trials))
     for t in range(config.trials):
-        ss = np.random.SeedSequence(config.master_seed, spawn_key=(n, t))
-        vals[:, t] = table.weighted_sum(config.law.draw(trial_rng(ss), K + 1) * c)
+        rng = trial_rng(config.master_seed, n, t)
+        vals[:, t] = table.weighted_sum(config.law.draw(rng, K + 1) * c)
     return _finite(pts, vals)
 
 
@@ -332,39 +330,24 @@ def run_gaussian_oracle(
 ) -> GaussianOracleSummary:
     """Zero counts of exact limit-process paths on [a, b] in the t coordinate.
 
-    a == b returns the exact empty-interval summary. The u-grid step is
-    eta * 2 pi / sqrt(gamma), as for series scans.
+    Needs 0 < a < b < inf. The grid in u = log t comes from `roots._u_grid`,
+    the rule series scans use (u-step at most eta * 2 pi / sqrt(gamma)),
+    capped at the sampler's `_MAX_PATH_GRID` points before it is allocated.
     """
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not (0.0 < a <= b):
-        raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
+    target = expected_zeros_rice(a, b, gamma)  # checks gamma and the domain
     if not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    _check_eta(eta)
     rng = trial_rng(seed)
-    if a == b:
-        return GaussianOracleSummary(
-            trials, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {0: trials}, gamma, a, b, eta
-        )
-    u_lo, u_hi = math.log(a), math.log(b)
-    step = eta * 2.0 * math.pi / math.sqrt(gamma)
-    gaps = max(1, math.ceil((u_hi - u_lo) / step))
-    if gaps + 1 > _MAX_PATH_GRID:
-        raise ValueError(
-            f"{gaps + 1} grid points exceed the {_MAX_PATH_GRID} sampler cap"
-        )
-    sampler = PathSampler(np.linspace(u_lo, u_hi, gaps + 1), gamma)
+    grid = _u_grid(math.log(a), math.log(b), eta, gamma, cap=_MAX_PATH_GRID)
+    sampler = PathSampler(grid, gamma)
     counts = np.empty(trials, dtype=np.int64)
     done = 0
     while done < trials:
         m = min(_ORACLE_CHUNK, trials - done)
         counts[done : done + m] = path_zero_counts(sampler.draw(rng, m), axis=0)
         done += m
-    return GaussianOracleSummary.from_counts(
-        counts, expected_zeros_rice(a, b, gamma), gamma=gamma, a=a, b=b, eta=eta
-    )
+    return GaussianOracleSummary.from_counts(counts, target, gamma=gamma, a=a, b=b, eta=eta)
 
 
 def run_universality(config: ExperimentConfig, laws):

@@ -13,8 +13,9 @@ for a stationary unit-variance Gaussian process gives
 
 so the expected count on [a, b] in the t coordinate is
 (sqrt(gamma)/2 pi) log(b/a). Path sampling is dense Cholesky with a small
-diagonal jitter ladder; grids are capped at 1e4 points. Sampled paths are
-counted by `roots.path_zero_counts`, the same half-open rule as series scans.
+diagonal jitter ladder on at most `_MAX_PATH_GRID` (1e4) points; the oracle's
+grid comes from `roots._u_grid`, the series grid rule, under that cap. Sampled
+paths are counted by `roots.path_zero_counts`, the same half-open rule.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .coeffs import _check_gamma
 
 __all__ = [
     "CovarianceConditioningError",
@@ -39,11 +42,6 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 class CovarianceConditioningError(RuntimeError):
     """Covariance stayed non-factorizable through the whole jitter ladder."""
-
-
-def _check_gamma(gamma: float):
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 def cov_z(t, s, gamma: float):
@@ -91,10 +89,10 @@ def rho_second_derivative_fd(gamma: float, h: float = 1e-3) -> float:
 
 
 def expected_zeros_rice(a: float, b: float, gamma: float) -> float:
-    """Expected zeros of Z on [a, b]: (sqrt(gamma)/2 pi) log(b/a)."""
+    """Expected zeros of Z on [a, b]: (sqrt(gamma)/2 pi) log(b/a), 0 < a < b < inf."""
     _check_gamma(gamma)
-    if not (0.0 < a < b):
-        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
+    if not (0.0 < a < b < math.inf):
+        raise ValueError(f"need 0 < a < b < inf, got a={a}, b={b}")
     return math.sqrt(gamma) / (2.0 * math.pi) * math.log(b / a)
 
 

@@ -4,6 +4,9 @@ Scanning happens in the coordinate u = -log(1-x), where the zero set of the
 series becomes asymptotically stationary: the expected number of zeros per
 unit u tends to sqrt(gamma)/(2*pi), so a grid step of eta * 2*pi/sqrt(gamma)
 places ~1/eta points per expected zero and missed same-cell pairs are rare.
+That grid rule lives here, in `_u_grid` (ceil(span/step) equal gaps, and a
+point cap checked before the grid is allocated); `ScanGrid` and the
+limit-process oracle (in u = log t) both build their grids with it.
 `count_zeros` counts sign changes from one evaluation on the grid with every
 gap halved (stable if both agree); `locate_zeros` brackets zeros by bisection.
 
@@ -29,6 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .coeffs import _check_gamma
+
 __all__ = [
     "EvaluationError",
     "ScanGrid",
@@ -52,12 +57,28 @@ class EvaluationError(RuntimeError):
         self.value = value
 
 
+def _check_eta(eta: float):
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def _u_grid(u_lo, u_hi, eta, gamma, split=1, cap=_MAX_GRID) -> np.ndarray:
+    """The u-grid of every scan: ceil(span / step) equal gaps, step =
+    eta * 2*pi/sqrt(gamma), each cut in `split`. More than `cap` points
+    raise ValueError before anything is allocated."""
+    step = eta * 2.0 * math.pi / math.sqrt(gamma)
+    big = not step > 0.0 or (u_hi - u_lo) / step >= cap  # step may underflow to 0
+    points = cap + 1 if big else max(1, math.ceil((u_hi - u_lo) / step)) * split + 1
+    if points > cap:
+        raise ValueError(f"u-grid [{u_lo:g}, {u_hi:g}] at step {step:g}: over {cap} points")
+    return np.linspace(u_lo, u_hi, points)
+
+
 @dataclass(frozen=True)
 class ScanGrid:
-    """Arithmetic grid in u = -log(1-x) over [a, b], 0 <= a < b < 1.
-
-    The step in u is eta * 2*pi/sqrt(gamma), a fixed fraction of the mean
-    zero spacing of the limit process.
+    """Arithmetic grid in u = -log(1-x) over [a, b], 0 <= a < b < 1, built
+    by `_u_grid`: the u-step is at most eta * 2*pi/sqrt(gamma), a fixed
+    fraction of the mean zero spacing of the limit process.
     """
 
     a: float
@@ -68,27 +89,16 @@ class ScanGrid:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b < 1.0):
             raise ValueError(f"need 0 <= a < b < 1, got [{self.a}, {self.b}]")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not (self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-    @property
-    def u_step(self) -> float:
-        return self.eta * 2.0 * math.pi / math.sqrt(self.gamma)
+        _check_eta(self.eta)
+        _check_gamma(self.gamma)
 
     def points(self) -> np.ndarray:
         return self._points(1)
 
     def _points(self, split: int) -> np.ndarray:
         """`points()` with each gap cut in `split`; every split-th point is bitwise."""
-        u_lo = -math.log1p(-self.a)
-        u_hi = -math.log1p(-self.b)
-        gaps = max(1, math.ceil((u_hi - u_lo) / self.u_step)) * split
-        if gaps > _MAX_GRID:
-            raise ValueError(f"grid of {gaps} gaps exceeds the {_MAX_GRID} cap")
-        u = np.linspace(u_lo, u_hi, gaps + 1)
-        x = -np.expm1(-u)
+        u_lo, u_hi = -math.log1p(-self.a), -math.log1p(-self.b)
+        x = -np.expm1(-_u_grid(u_lo, u_hi, self.eta, self.gamma, split))
         x[0], x[-1] = self.a, self.b
         return x
 
@@ -183,8 +193,7 @@ def rice_density(x, gamma: float):
     Integrating from 0 to r gives (sqrt(gamma)/2 pi) * log(1/(1-r)), the
     leading-order expected count on [0, r]. Accepts 0 <= x < 1.
     """
-    if not (gamma > 0.0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or np.any(xa >= 1.0):
         raise ValueError("rice_density needs 0 <= x < 1")

@@ -176,6 +176,8 @@ def test_gauss_oracle_writes_valid_report(tmp_path):
         ["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "2", "-M", "0"],
         ["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "100", "-M", "50", "--eta", "-1"],
         ["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "100", "-M", "50", "--eta", "0"],
+        ["gauss-oracle", "--gamma", "inf", "--a", "1", "--b", "2", "-M", "5"],
+        ["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "inf", "-M", "5"],
     ],
 )
 def test_gauss_oracle_validation_exits_2(argv, capsys):

@@ -295,12 +295,6 @@ def test_cumulative_slope_tracks_growth_constant():
 # -------------------------------------------------------- gaussian oracle
 
 
-def test_oracle_degenerate_interval_is_exact():
-    g = run_gaussian_oracle(1.0, 2.0, 2.0, trials=7)
-    assert g.mean_count == 0.0 and g.sd == 0.0 and g.stderr == 0.0
-    assert g.count_hist == {0: 7}
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -313,6 +307,10 @@ def test_oracle_degenerate_interval_is_exact():
         (1.0, 1.0, 100.0, 5, math.nan),
         (1.0, 1.0, 100.0, 5, math.inf),
         (1.0, 2.0, 2.0, 5, -1.0),
+        (1.0, 2.0, 2.0, 5, 0.01),
+        (math.inf, 1.0, 2.0, 5, 0.01),
+        (1.0, 1.0, math.inf, 5, 0.01),
+        (1.0, 1.0, 2.0, 5, 1e-320),
     ],
 )
 def test_oracle_rejects_bad_domain(args):

@@ -82,7 +82,7 @@ class TestRiceCount:
         )
 
     def test_domain(self):
-        for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (-1.0, 2.0)):
+        for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (-1.0, 2.0), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 expected_zeros_rice(a, b, 1.0)
 

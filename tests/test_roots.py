@@ -29,9 +29,11 @@ class TestScanGrid:
         assert np.all(np.diff(pts) > 0)
 
     def test_step_scales_with_gamma(self):
-        assert ScanGrid(0.1, 0.9, 0.02, 4.0).u_step == pytest.approx(
-            ScanGrid(0.1, 0.9, 0.02, 1.0).u_step / 2.0
-        )
+        # ceil(span / step) equal u-gaps, step = eta * 2 pi / sqrt(gamma)
+        for gamma in (1.0, 4.0):
+            u = -np.log1p(-ScanGrid(0.1, 0.9, 0.02, gamma).points())
+            step = 0.02 * 2.0 * math.pi / math.sqrt(gamma)
+            assert (u.size - 2) * step < u[-1] - u[0] <= (u.size - 1) * step
 
     def test_validation(self):
         for a, b in ((-0.1, 0.5), (0.5, 0.5), (0.6, 0.4), (0.5, 1.0)):
@@ -40,8 +42,9 @@ class TestScanGrid:
         for eta in (0.0, math.inf):
             with pytest.raises(ValueError):
                 ScanGrid(0.1, 0.9, eta=eta)
-        with pytest.raises(ValueError):
-            ScanGrid(0.1, 0.9, gamma=-1.0)
+        for gamma in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ScanGrid(0.1, 0.9, gamma=gamma)
 
     def test_zero_left_endpoint_allowed(self):
         pts = ScanGrid(0.0, 0.5).points()
@@ -244,5 +247,6 @@ class TestRiceDensity:
         for bad in (-0.1, 1.0):
             with pytest.raises(ValueError):
                 rice_density(bad, 1.0)
-        with pytest.raises(ValueError):
-            rice_density(0.5, 0.0)
+        for gamma in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                rice_density(0.5, gamma)
