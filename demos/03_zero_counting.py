@@ -6,8 +6,9 @@ Zeros are counted by sign changes on a grid that is uniform in
 u = -log(1-x), so resolution automatically concentrates near x = 1 where
 the zeros do.  `count_zeros` evaluates once, on the grid with every gap
 halved, and flags a count the halved grid does not reproduce as unstable.
-`locate_zeros` refines each counted zero's bracket by bisection.  A
-Sturm-chain oracle gives exact counts for small polynomials.
+`locate_zeros` refines each counted zero's bracket by bisection.
+`exact_count_small` gives exact counts for polynomials of degree up to 1024
+(Descartes' rule of signs with bisection, in integer arithmetic).
 """
 
 from taylorzeros import (
@@ -30,10 +31,10 @@ print(f"cubic on [0, 0.95): count={zc.count} stable={zc.stable}")
 for lo, hi in locate_zeros(poly, grid):
     print(f"  zero in [{lo:.12f}, {hi:.12f}]")
 
-# exact Sturm count agrees; ascending coefficients of the expanded cubic
+# the exact count agrees; ascending coefficients of the expanded cubic
 # (x-0.3)(x-0.6)(x+2) = x^3 + 1.1 x^2 - 1.62 x + 0.36
 coeffs = [0.36, -1.62, 1.1, 1.0]
-print(f"Sturm oracle on [0, 0.95]: {exact_count_small(coeffs, (0.0, 0.95))}")
+print(f"exact oracle on [0, 0.95]: {exact_count_small(coeffs, (0.0, 0.95))}")
 
 # now a random series: count zeros on the dyadic interval [1-2^-6, 1-2^-7)
 seq = CoefficientSequence(1.0)

@@ -37,6 +37,7 @@ __all__ = [
 
 _BLOCK = 1 << 16
 _MAX_TERMS = 1 << 28
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,9 @@ def _scalar_ok(x) -> bool:
 
 
 def _check_gamma(gamma: float):
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    # Gamma(gamma), the divisor in c_k^2, overflows a float past gamma ~ 171.6
+    if not (gamma > 0.0 and math.lgamma(gamma) < _LOG_MAX):
+        raise ValueError(f"gamma must be positive with Gamma(gamma) finite, got {gamma}")
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def expected_zeros_rice(a: float, b: float, gamma: float) -> float:
     _check_gamma(gamma)
     if not (0.0 < a < b < math.inf):
         raise ValueError(f"need 0 < a < b < inf, got a={a}, b={b}")
-    return math.sqrt(gamma) / (2.0 * math.pi) * math.log(b / a)
+    return math.sqrt(gamma) / (2.0 * math.pi) * (math.log(b) - math.log(a))
 
 
 class PathSampler:

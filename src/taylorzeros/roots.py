@@ -19,16 +19,17 @@ and attributed to the gap on its right, and a zero at the final grid point is
 not counted. Tiling [0, r) by consecutive intervals therefore sums exactly to
 the count over the union grid.
 
-`exact_count_small` is a test oracle: a Sturm chain over exact rationals
-(square-free reduction first), counting distinct real roots in a closed
-interval for degrees up to 64.
+`exact_count_small` is the exact oracle: distinct real roots in a closed
+interval for degrees up to 1024, by Descartes bisection in integers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -202,115 +203,108 @@ def rice_density(x, gamma: float):
 
 
 # ---------------------------------------------------------------------------
-# exact small-degree oracle: Sturm chains over Fraction coefficients
+# exact oracle: Descartes' rule of signs and bisection over Python ints
+# (Collins and Akritas, 1976; Rouillier and Zimmermann, 2004)
+
+_MAX_EXACT_DEGREE = 1024
+_PRIME = (1 << 61) - 1  # modulus of the square-free certificate
 
 
-def _fstrip(p: list) -> list:
+def _ratio(c) -> tuple[int, int]:
+    return (int(c), 1) if isinstance(c, numbers.Integral) else c.as_integer_ratio()
+
+
+def _strip(p: list) -> list:
     while p and p[-1] == 0:
         p = p[:-1]
     return p
 
 
-def _fdiff(p: list) -> list:
-    return [k * p[k] for k in range(1, len(p))]
+def _primitive(p: list) -> list:
+    g = math.gcd(*p) or 1
+    return [c // g for c in p]
 
 
-def _fdivmod(p: list, q: list) -> tuple[list, list]:
-    # q nonzero, both stripped ascending-coefficient lists
-    r = list(p)
-    dq, lq = len(q) - 1, q[-1]
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(r) >= len(q) and _fstrip(r):
-        r = _fstrip(r)
-        if len(r) < len(q):
-            break
-        shift = len(r) - len(q)
-        f = r[-1] / lq
-        quot[shift] = f
-        for i in range(len(q)):
-            r[shift + i] -= f * q[i]
-        r = r[:-1]
-    return quot, _fstrip(r)
+def _shift1(p: list) -> list:
+    """p(t + 1): Horner's Taylor shift, one running sum per degree."""
+    r = p[::-1]
+    for m in range(len(r), 1, -1):
+        r[:m] = accumulate(r[:m])
+    return r[::-1]
 
 
-def _fmonic(p: list) -> list:
-    lead = p[-1]
-    return [c / lead for c in p] if lead != 1 else p
-
-
-def _fposcale(p: list) -> list:
-    # scale by a positive constant only: Sturm sign structure must survive
-    lead = abs(p[-1])
-    return [c / lead for c in p]
-
-
-def _fgcd(p: list, q: list) -> list:
-    a, b = _fstrip(p), _fstrip(q)
+def _gcd(a: list, b: list, reduce) -> list:
+    """Last nonzero remainder of Euclid's algorithm on a and b, by
+    pseudo-division with every step passed through `reduce`."""
     while b:
-        a, b = b, _fdivmod(a, b)[1]
-        if b:
-            b = _fmonic(b)  # positive rescale, gcd is up to units anyway
-    return _fmonic(a)
+        while len(a) >= len(b):
+            f, s = a[-1], len(a) - len(b)
+            a = reduce([c * b[-1] for c in a[:s]] + [c * b[-1] - f * y for c, y in zip(a[s:], b)])
+        a, b = b, a
+    return a
 
 
-def _feval(p: list, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _squarefree(p: list) -> list:
+    """p / gcd(p, p'). The exact gcd is skipped when gcd(p, p') modulo a
+    prime not dividing p's leading coefficient is a constant: a common
+    factor over Z would survive the reduction with its degree."""
+    dp = [k * c for k, c in enumerate(p)][1:]
+    if p[-1] % _PRIME and len(_gcd(p, dp, lambda r: _strip([c % _PRIME for c in r]))) == 1:
+        return p
+    g, h, r = _primitive(_gcd(p, dp, lambda r: _primitive(_strip(r)))), [], p
+    for s in range(len(p) - len(g), -1, -1):  # exact in Z: g is primitive (Gauss)
+        h.append(r[s + len(g) - 1] // g[-1])
+        r = r[:s] + [c - h[-1] * y for c, y in zip(r[s:], g)]
+    return h[::-1]
 
 
-def _fshift_root_out(p: list, r: Fraction) -> list:
-    # exact synthetic division by (x - r); valid only when p(r) == 0
-    out = [Fraction(0)] * (len(p) - 1)
-    carry = Fraction(0)
-    for k in range(len(p) - 1, 0, -1):
-        carry = p[k] + carry * r
-        out[k - 1] = carry
-    return _fstrip(out)
-
-
-def _variations(signs: list) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for s1, s2 in zip(nz, nz[1:]) if s1 * s2 < 0)
+def _onto_unit(p: list, a, b) -> list:
+    """q(t) = C^d p((A + B t) / C), where (A + B t) / C maps [0, 1] onto
+    [a, b]: scale by A, shift by 1, rescale by B / A (exact division)."""
+    (na, da), (nb, db) = _ratio(a), _ratio(b)
+    g, d = math.gcd(na * db, nb * da, da * db), len(p) - 1
+    A, B, C = na * db // g, (nb * da - na * db) // g, da * db // g
+    pa, pb, pc = (list(accumulate([1] + [x] * d, operator.mul)) for x in (A or 1, B, C))
+    r = [c * pa[k] * pc[d - k] for k, c in enumerate(p)]
+    return [c * pb[k] // pa[k] for k, c in enumerate(_shift1(r) if A else r)]
 
 
 def exact_count_small(coeffs, interval) -> int:
     """Distinct real roots of sum coeffs[k] x^k in the closed interval.
 
-    Exact: coefficients are converted to rationals and a Sturm chain of the
-    square-free part is evaluated at the endpoints. Degree must be <= 64; a
-    multiple root counts once. Test oracle, not a performance path.
+    Exact, in Python ints: the coefficients and endpoints (rationals; floats
+    are dyadic) are scaled to integers, the square-free part is mapped onto
+    [0, 1], roots at t = 0 and 1 are divided out, and (0, 1) is bisected
+    until Descartes' rule decides each piece. Degree must be <= 1024.
     """
     a, b = interval
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    p = _fstrip([Fraction(c) for c in coeffs])
+    ratios = [_ratio(c) for c in coeffs]
+    den = math.lcm(*(d for _, d in ratios))
+    p = _strip([n * (den // d) for n, d in ratios])
     if not p:
         raise ValueError("zero polynomial has no well-defined root count")
-    if len(p) - 1 > 64:
-        raise ValueError(f"degree {len(p) - 1} > 64 is unsupported")
-    if len(p) == 1:
-        return 0
-    fa, fb = Fraction(a), Fraction(b)
-    sf = _fdivmod(p, _fgcd(p, _fstrip(_fdiff(p))))[0]
-    extra = 0
-    for end in (fa, fb):
-        if _feval(sf, end) == 0:
-            sf = _fshift_root_out(sf, end)
-            extra += 1
-            if len(sf) == 1:
-                return extra
-    chain = [sf, _fstrip(_fdiff(sf))]
-    while chain[-1]:
-        rem = _fdivmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(_fposcale([-c for c in rem]))
-
-    def sgn(v):
-        return (v > 0) - (v < 0)
-
-    va = _variations([sgn(_feval(f, fa)) for f in chain])
-    vb = _variations([sgn(_feval(f, fb)) for f in chain])
-    return va - vb + extra
+    if len(p) - 1 > _MAX_EXACT_DEGREE:
+        raise ValueError(f"degree {len(p) - 1} > {_MAX_EXACT_DEGREE} is unsupported")
+    q = _onto_unit(_squarefree(_primitive(p)), a, b)
+    count = 0
+    if q[0] == 0:  # root at a
+        count, q = 1, q[1:]
+    if sum(q) == 0:  # root at b: divide by t - 1
+        count, q = count + 1, list(accumulate(q[::-1]))[-2::-1]
+    stack = [q]
+    while stack:
+        q = stack.pop()
+        # Descartes: variations of (1+z)^d q(1/(1+z)) = roots in (0, 1) + an even number
+        s = [c > 0 for c in _shift1(q[::-1]) if c]
+        v = sum(x != y for x, y in zip(s, s[1:]))
+        if v < 2:
+            count += v
+            continue
+        left = [c << (len(q) - 1 - k) for k, c in enumerate(q)]  # 2^d q(t/2)
+        right = _shift1(left)  # 2^d q((t+1)/2)
+        if right[0] == 0:  # a root at the midpoint
+            count, right = count + 1, right[1:]
+        stack += (left, right)
+    return count

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -185,6 +186,15 @@ def test_gauss_oracle_validation_exits_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_gauss_oracle_wide_window_has_finite_target(capsys):
+    # b / a overflows here; log(b) - log(a) = 600 log(10) does not
+    code = main(["gauss-oracle", "--gamma", "1", "--a", "1e-300", "--b", "1e300",
+                 "--eta", "0.5", "-M", "5"])
+    assert code == 0
+    target = float(capsys.readouterr().out.split("target=")[1].split()[0])
+    assert target == pytest.approx(600.0 * math.log(10.0) / (2.0 * math.pi), abs=1e-5)
+
+
 # ------------------------------------------------------------ diagnostics
 
 
@@ -234,6 +244,7 @@ def test_abel_check_single_point(capsys):
     "argv",
     [
         ["abel-check", "--gamma", "-1"],
+        ["abel-check", "--gamma", "200", "--a-list", "0.1"],  # Gamma(200) overflows
         ["abel-check", "--gamma", "1", "--a-list", "0.1,wat"],
         ["abel-check", "--gamma", "1", "--a-list", "2.0"],
     ],

@@ -49,7 +49,9 @@ class TestCoeff:
             CoefficientSequence(0.5, c0_zero=False)
 
     def test_gamma_validation(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        # gamma = 171.7 and up: Gamma(gamma), the divisor in c_k^2, overflows
+        assert CoefficientSequence(171.6).csq(1) > 0.0
+        for bad in (0.0, -1.0, math.nan, math.inf, 171.7, 400.0):
             with pytest.raises(ValueError):
                 CoefficientSequence(bad)
         with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ def small_config(**kw):
     [
         dict(gamma=0.0),
         dict(gamma=-1.0),
+        dict(gamma=400.0),  # Gamma(400) overflows a float
         dict(q=0.0),
         dict(q=1.0),
         dict(n_min=-1),

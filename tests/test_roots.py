@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import taylorzeros.roots as tzroots
+from taylorzeros import sampling
+from taylorzeros.coeffs import CoefficientSequence
 from taylorzeros.roots import (
     EvaluationError,
     ScanGrid,
@@ -19,6 +22,7 @@ from polycorpus import (
     poly_fn,
     random_corpus,
 )
+from sturm_reference import sturm_count
 
 
 class TestScanGrid:
@@ -184,7 +188,12 @@ class TestExactCount:
         with pytest.raises(ValueError):
             exact_count_small([1.0, 2.0], (1.0, 1.0))
         with pytest.raises(ValueError):
-            exact_count_small([1.0] * 66, (0.0, 1.0))
+            exact_count_small([1.0] * 1026, (0.0, 1.0))
+
+    def test_degree_cap_is_1024(self):
+        # 1 + x + ... + x^1024 is positive on [0, 1]; x^1024 - 1/2 has one root there
+        assert exact_count_small([1.0] * 1025, (0.0, 1.0)) == 0
+        assert exact_count_small([-0.5] + [0.0] * 1023 + [1.0], (0.0, 1.0)) == 1
 
     def test_against_companion_roots(self):
         rng = np.random.default_rng(17)
@@ -219,6 +228,114 @@ class TestExactCount:
             else:
                 assert mismatch_attributable(c, SCAN_INTERVAL, eta)
         assert agree / len(polys) >= 0.99
+
+
+def _times(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _planted(factors, extra=(1,)) -> list:
+    """Integer coefficients of extra * prod (den x - num)^m over
+    (num, den, m) in `factors`, as floats (exact below 2^53)."""
+    p = list(extra)
+    for num, den, m in factors:
+        for _ in range(m):
+            p = _times(p, [-num, den])
+    return [float(c) for c in p]
+
+
+class TestExactCountAgainstSturm:
+    """The integer Descartes counter against the Fraction Sturm chain in
+    tests/sturm_reference.py, which reaches the same count another way."""
+
+    def test_random_corpus_degrees_2_to_20(self):
+        for degree in range(2, 21):
+            for c in random_corpus(4, degree, seed=1000 + degree):
+                for interval in (SCAN_INTERVAL, (-2.0, 2.0)):
+                    assert exact_count_small(c, interval) == sturm_count(c, interval)
+
+    def test_planted_multiple_roots_take_the_exact_gcd(self, monkeypatch):
+        # dyadic double and triple roots: gcd(p, p') is not a constant mod
+        # any prime, so the certificate must fail and the integer gcd run
+        calls = []
+        gcd = tzroots._gcd
+        monkeypatch.setattr(tzroots, "_gcd", lambda a, b, reduce: calls.append(1) or gcd(a, b, reduce))
+        cases = [
+            ([(1, 4, 2)], 1),
+            ([(1, 4, 3), (3, 4, 1)], 2),
+            ([(3, 8, 2), (5, 8, 3), (1, 2, 1)], 3),
+            ([(1, 2, 2), (5, 4, 3)], 1),  # the triple root 5/4 is outside
+            ([(13, 16, 3), (-1, 2, 2)], 1),
+        ]
+        for factors, want in cases:
+            c = _planted(factors, extra=(1, 0, 1))  # times x^2 + 1: no real roots
+            calls.clear()
+            assert exact_count_small(c, (0.0, 1.0)) == want == sturm_count(c, (0.0, 1.0))
+            assert len(calls) == 2  # the modular gcd, then the exact one
+        calls.clear()
+        assert exact_count_small(_planted([(1, 4, 1), (3, 4, 1)]), (0.0, 1.0)) == 2
+        assert len(calls) == 1  # square-free: the certificate holds
+
+    def test_roots_at_dyadic_endpoints(self):
+        # roots 1/4 (double), 1/2, 3/4 (triple): every closed interval below
+        # has some of them exactly at an endpoint
+        c = _planted([(1, 4, 2), (1, 2, 1), (3, 4, 3)])
+        for interval, want in [
+            ((0.25, 0.75), 3), ((0.25, 0.5), 2), ((0.5, 0.75), 2), ((0.25, 0.375), 1),
+            ((0.625, 0.75), 1), ((0.0, 0.25), 1), ((0.75, 1.0), 1), ((0.3125, 0.4375), 0),
+        ]:
+            assert exact_count_small(c, interval) == want == sturm_count(c, interval)
+
+    def test_planted_factors_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        factor = st.tuples(st.integers(-12, 12), st.sampled_from([1, 2, 4, 8]), st.integers(1, 3))
+        dyadic = st.builds(lambda m, e: m / 2**e, st.integers(-24, 24), st.integers(0, 3))
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.lists(factor, min_size=1, max_size=4),
+            st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda e: e[-1] != 0),
+            dyadic,
+            dyadic,
+        )
+        def check(factors, extra, x, y):
+            hypothesis.assume(x != y)
+            c, interval = _planted(factors, extra), (min(x, y), max(x, y))
+            assert exact_count_small(c, interval) == sturm_count(c, interval)
+
+        check()
+
+
+class TestExactCountRealSamples:
+    """The grid counter on real series samples at the raised degree cap,
+    audited exactly. Tiles n >= 1 only: tile n=0 starts at the zero f(0) = 0
+    that the half-open grid rule attributes to its first gap."""
+
+    def test_grid_count_matches_exact_at_k_128_and_256(self):
+        seq, agree, total = CoefficientSequence(1.0), 0, 0
+        for n, want_K in ((2, 128), (3, 256)):
+            grid = ScanGrid(1.0 - 0.5**n, 1.0 - 0.5 ** (n + 1), 0.02, 1.0)
+            policy = sampling.TruncationPolicy(grid.b, 1e-6)
+            K = sampling.truncation_degree(seq, policy)
+            assert K == want_K
+            for law in (sampling.CoefficientLaw.RADEMACHER, sampling.CoefficientLaw.GAUSSIAN):
+                for t in range(25):
+                    ss = np.random.SeedSequence(2026, spawn_key=(n, t))
+                    sample = sampling.draw_sample(seq, law, ss, K, policy)
+                    w = sample.weights
+                    got = count_zeros(sample.evaluate_many, grid).count
+                    exact = exact_count_small(w, (grid.a, grid.b))
+                    total += 1
+                    if got == exact:
+                        agree += 1
+                    else:
+                        assert mismatch_attributable(w, (grid.a, grid.b), 0.02), (law, n, t)
+        assert total == 100 and agree >= 99
 
 
 class TestRiceDensity:
