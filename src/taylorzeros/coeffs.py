@@ -47,8 +47,8 @@ class Constant:
     c: float = 1.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"constant slow variation needs c > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"constant slow variation needs 0 < c < inf, got {self.c}")
 
     def __call__(self, t):
         return self.c * np.ones_like(np.asarray(t, dtype=float))
@@ -65,6 +65,10 @@ class LogPower:
     """L(t) = (1 + log t)^beta, defined for t >= 1."""
 
     beta: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise ValueError(f"log-power slow variation needs finite beta, got {self.beta}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -98,10 +102,6 @@ class LogLog:
         return "loglog"
 
 
-def _scalar_ok(x) -> bool:
-    return np.ndim(x) == 0
-
-
 def _check_gamma(gamma: float):
     # Gamma(gamma), the divisor in c_k^2, overflows a float past gamma ~ 171.6
     if not (gamma > 0.0 and math.lgamma(gamma) < _LOG_MAX):
@@ -110,47 +110,41 @@ def _check_gamma(gamma: float):
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """c_k^2 = k^(gamma-1) L(k) / Gamma(gamma), with c_0 = 0 by default.
+    """c_k^2 = k^(gamma-1) L(k) / Gamma(gamma) for k >= 1, and c_0 = 0.
 
-    With ``c0_zero=False`` the k = 0 coefficient takes the k -> 0+ limit of
-    the same formula: 0 for gamma > 1 and L(1) for gamma = 1 (so gamma = 1,
-    L = 1 gives the plain geometric-series coefficients c_k = 1 for all k);
-    gamma < 1 has no finite limit and is rejected.
+    Every c_k^2 comes from its logarithm, `_log_csq`, so a term c_k^2 x^{2k}
+    that fits in a float is finite even where k^(gamma-1) is not.
     """
 
     gamma: float
     slow: Constant | LogPower | LogLog = field(default_factory=Constant)
-    c0_zero: bool = True
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if not self.c0_zero and self.gamma < 1:
-            raise ValueError("c0_zero=False needs gamma >= 1 (k -> 0 limit diverges)")
 
-    @property
-    def _c0sq(self) -> float:
-        if self.c0_zero or self.gamma > 1:
-            return 0.0
-        return float(self.slow(1.0))  # gamma == 1, Gamma(1) == 1
+    def _log_csq(self, k):
+        """(gamma-1) log k + log L(k) - log Gamma(gamma), k >= 1, in one array."""
+        g = self.gamma
+        out = np.log(self.slow(k))
+        out += (g - 1.0) * np.log(k)
+        out -= math.lgamma(g)
+        return out
 
     def csq(self, k):
         """c_k^2 for scalar or array k (integer indices, k >= 0)."""
-        scalar = _scalar_ok(k)
+        scalar = np.ndim(k) == 0
         k = np.atleast_1d(np.asarray(k, dtype=float))
         if np.any(k < 0):
             raise ValueError("coefficient index must be >= 0")
-        out = np.empty_like(k)
-        pos = k >= 1
-        kp = k[pos]
-        g = self.gamma
-        out[pos] = kp ** (g - 1.0) * self.slow(kp) / math.gamma(g)
-        out[~pos] = self._c0sq
+        out = self._log_csq(np.maximum(k, 1.0))
+        np.exp(out, out=out)
+        out[k < 1] = 0.0
         return float(out[0]) if scalar else out
 
     def coeff(self, k):
         """c_k = sqrt(c_k^2)."""
         c2 = self.csq(k)
-        return math.sqrt(c2) if _scalar_ok(k) else np.sqrt(c2)
+        return math.sqrt(c2) if np.ndim(k) == 0 else np.sqrt(c2)
 
     def ratio_cap(self, k: int) -> float:
         """Upper bound for c_{j+1}^2 / c_j^2 valid for every j >= k >= 1.
@@ -179,7 +173,9 @@ class CoefficientSequence:
         rho = self.ratio_cap(K) * x * x
         if rho > 0.5 * (1.0 + x * x):
             return math.inf
-        t_K = self.csq(K) * x ** (2.0 * K)
+        # c_K^2 = 2^j e^r: x^(2K) keeps the accuracy of pow, and no factor overflows
+        j, r = divmod(float(self._log_csq(float(K))), math.log(2.0))
+        t_K = float(np.ldexp(math.exp(r) * x ** (2.0 * K), int(j)))
         return t_K * rho / (1.0 - rho)
 
     def variance_v(self, x: float, rel_tol: float = 1e-12) -> float:
@@ -193,13 +189,13 @@ class CoefficientSequence:
         if not (rel_tol > 0):
             raise ValueError("rel_tol must be positive")
         if x == 0.0:
-            return self._c0sq
-        total = self._c0sq
+            return 0.0
+        total, log_x2 = 0.0, 2.0 * math.log(x)
         lo, size = 1, 64
         while lo < _MAX_TERMS:
             hi = lo + size
             k = np.arange(lo, hi, dtype=float)
-            total += float(np.sum(self.csq(k) * np.exp((2.0 * math.log(x)) * k)))
+            total += float(np.sum(np.exp(self._log_csq(k) + log_x2 * k)))
             lo, size = hi, min(2 * size, _BLOCK)
             if self.tail_bound(x, hi - 1) <= rel_tol * total:
                 return total

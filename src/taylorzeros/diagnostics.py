@@ -51,7 +51,7 @@ _TAIL_CEILING = 1e-10
 _EXACT_TOL = 1e-12
 _NORM_TOL = 1e-9  # tail mass is capped at 1e-10, so the gap must sit below this
 _CORRIDOR_RTOL = 1e-9
-_DEFAULT_BUDGET = 50_000_000
+_BUDGET = 50_000_000
 _LD_BLOCK = 1 << 20
 
 
@@ -79,11 +79,15 @@ class TailPair:
     sorted: np.ndarray
 
 
+def _check_q(q: float):
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must be in (0, 1), got {q}")
+
+
 def _validate_nq(n: int, q: float):
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must be in (0, 1), got {q}")
+    _check_q(q)
 
 
 def weights(
@@ -221,28 +225,25 @@ class DiagnosticsReport:
 
 
 def check_weight_inequalities(
-    seq: CoefficientSequence,
-    q: float,
-    n_range,
-    budget: int = _DEFAULT_BUDGET,
+    seq: CoefficientSequence, q: float, n_range
 ) -> DiagnosticsReport:
     """Tabulate the five weight-array checks over n in n_range.
 
-    K(n) = ceil(40 n q^{-n}); rows beyond `budget` elements are skipped with
-    a notice instead of raising. A K far past the budget is judged by its
-    logarithm and left as None, since q^{-n} may not fit in a float.
+    K(n) = ceil(40 n q^{-n}); rows over `_BUDGET` elements are skipped with
+    a notice instead of raising. A K far past it is judged by its logarithm
+    and left as None, since q^{-n} may not fit in a float.
     """
     rows = []
     for n in n_range:
         _validate_nq(n, q)
         log_k = math.log(40.0 * n) - n * math.log(q)
-        K = math.ceil(40.0 * n * q**-n) if log_k < math.log(budget) + 1.0 else None
-        if K is None or K + 1 > budget:
+        K = math.ceil(40.0 * n * q**-n) if log_k < math.log(_BUDGET) + 1.0 else None
+        if K is None or K + 1 > _BUDGET:
             size = K if K is not None else f"~1e{log_k / math.log(10.0):.0f}"
             rows.append(
                 DiagnosticsRow(
                     n=n, K=K, skipped=True,
-                    note=f"K={size} exceeds the {budget}-element budget",
+                    note=f"K={size} exceeds the {_BUDGET}-element budget",
                 )
             )
             continue

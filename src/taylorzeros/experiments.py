@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coeffs import CoefficientSequence, Constant, LogLog, LogPower, _check_gamma
+from .diagnostics import _check_q
 from .gauss import _MAX_PATH_GRID, PathSampler, expected_zeros_rice
 # count_zeros and draw_sample are unused: bench/tracing.py wraps them on this module
 from .roots import ScanGrid, _check_eta, _finite, _u_grid, count_zeros, path_zero_counts
@@ -42,6 +43,7 @@ from .sampling import (
     CoefficientLaw,
     TruncationPolicy,
     _PowerTable,
+    _check_delta,
     draw_sample,
     trial_rng,
     truncation_degree,
@@ -64,6 +66,11 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _ORACLE_CHUNK = 2048
 
 
+def _check_trials(trials: int):
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a zero-count experiment needs, in one picklable value."""
@@ -81,21 +88,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must be in (0, 1), got {self.q}")
+        _check_q(self.q)
         if not isinstance(self.law, CoefficientLaw):
             raise ValueError(f"law must be a CoefficientLaw, got {self.law!r}")
-        for name in ("n_min", "n_max", "trials", "master_seed"):
+        for name in ("n_min", "n_max", "master_seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 <= self.n_min <= self.n_max):
             raise ValueError(
                 f"need 0 <= n_min <= n_max, got {self.n_min}..{self.n_max}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        _check_trials(self.trials)
+        _check_delta(self.delta)
         _check_eta(self.eta)
         if not (0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
@@ -335,18 +339,15 @@ def run_gaussian_oracle(
     capped at the sampler's `_MAX_PATH_GRID` points before it is allocated.
     """
     target = expected_zeros_rice(a, b, gamma)  # checks gamma and the domain
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_trials(trials)
     _check_eta(eta)
     rng = trial_rng(seed)
     grid = _u_grid(math.log(a), math.log(b), eta, gamma, cap=_MAX_PATH_GRID)
     sampler = PathSampler(grid, gamma)
-    counts = np.empty(trials, dtype=np.int64)
-    done = 0
-    while done < trials:
-        m = min(_ORACLE_CHUNK, trials - done)
-        counts[done : done + m] = path_zero_counts(sampler.draw(rng, m), axis=0)
-        done += m
+    counts = np.concatenate([
+        path_zero_counts(sampler.draw(rng, min(_ORACLE_CHUNK, trials - lo)))
+        for lo in range(0, trials, _ORACLE_CHUNK)
+    ])
     return GaussianOracleSummary.from_counts(counts, target, gamma=gamma, a=a, b=b, eta=eta)
 
 

@@ -12,10 +12,10 @@ for a stationary unit-variance Gaussian process gives
     E #zeros of Y per unit u = sqrt(-rho''(0)) / pi = sqrt(gamma) / (2 pi),
 
 so the expected count on [a, b] in the t coordinate is
-(sqrt(gamma)/2 pi) log(b/a). Path sampling is dense Cholesky with a small
-diagonal jitter ladder on at most `_MAX_PATH_GRID` (1e4) points; the oracle's
-grid comes from `roots._u_grid`, the series grid rule, under that cap. Sampled
-paths are counted by `roots.path_zero_counts`, the same half-open rule.
+(sqrt(gamma)/2 pi) log(b/a). Path sampling is one dense Cholesky with
+diagonal jitter `_JITTER` (1e-12) on at most `_MAX_PATH_GRID` (1e4) points;
+the oracle's grid comes from `roots._u_grid`, the series grid rule, under
+that cap; `roots.path_zero_counts` counts the paths by the same half-open rule.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ __all__ = [
 ]
 
 _MAX_PATH_GRID = 10_000
-_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+_JITTER = 1e-12
 
 
 class CovarianceConditioningError(RuntimeError):
-    """Covariance stayed non-factorizable through the whole jitter ladder."""
+    """Covariance plus the diagonal jitter is not numerically positive definite."""
 
 
 def cov_z(t, s, gamma: float):
@@ -79,12 +79,11 @@ def rho_second_derivative(gamma: float) -> float:
     return -gamma / 4.0
 
 
-def rho_second_derivative_fd(gamma: float, h: float = 1e-3) -> float:
-    """Central finite-difference check of rho''(0); companion oracle for
-    rho_second_derivative (agreement ~1e-7 at the default h)."""
+def rho_second_derivative_fd(gamma: float) -> float:
+    """Central finite difference of rho at step 1e-3, a companion oracle for
+    rho_second_derivative (agreement ~1e-7)."""
     _check_gamma(gamma)
-    if not (h > 0.0):
-        raise ValueError("h must be positive")
+    h = 1e-3
     return (cov_y(h, gamma) - 2.0 + cov_y(-h, gamma)) / (h * h)
 
 
@@ -99,9 +98,9 @@ def expected_zeros_rice(a: float, b: float, gamma: float) -> float:
 class PathSampler:
     """Exact sampler for Y on a fixed u-grid via dense Cholesky.
 
-    The factorization is attempted with diagonal jitter 0, then 1e-12
-    escalating a hundredfold at most twice (the covariance has unit
-    diagonal, so the jitter is already relative). Failure past 1e-8 raises
+    `_JITTER` is added in place to the unit diagonal (so it is relative)
+    before the one factorization, which at the oracle's grid steps nearly
+    always fails without it; `self.jitter` records it. A failure raises
     CovarianceConditioningError.
     """
 
@@ -117,18 +116,14 @@ class PathSampler:
         self.u = u
         self.gamma = gamma
         cov = cov_y(u[:, None] - u[None, :], gamma)
-        cov = np.atleast_2d(cov)
-        for jitter in _JITTERS:
-            try:
-                self._chol = np.linalg.cholesky(cov + jitter * np.eye(u.size))
-                self.jitter = jitter
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:
+        cov.flat[:: u.size + 1] += _JITTER
+        try:
+            self._chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
             raise CovarianceConditioningError(
-                f"Cholesky failed at jitter {_JITTERS[-1]} on {u.size} points"
-            )
+                f"Cholesky failed at jitter {_JITTER} on {u.size} points"
+            ) from None
+        self.jitter = _JITTER
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """(npoints, m) array of independent paths, drawn from `rng`;

@@ -135,11 +135,10 @@ def _zero_gaps(v: np.ndarray) -> np.ndarray:
     return (s[:-1] * s[1:] < 0.0) | (s[:-1] == 0.0)
 
 
-def path_zero_counts(values, axis: int = 0) -> np.ndarray:
-    """Half-open zero counts along `axis`: sign changes plus exact zeros at
+def path_zero_counts(values) -> np.ndarray:
+    """Half-open zero counts along axis 0: sign changes plus exact zeros at
     every grid point but the last. Works on (npoints,) or (npoints, m)."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    return np.sum(_zero_gaps(v), axis=0)
+    return np.sum(_zero_gaps(np.asarray(values, dtype=float)), axis=0)
 
 
 def _refine(fn, lo: float, hi: float, lo_positive: bool, tol: float):

@@ -79,6 +79,11 @@ def trial_rng(seed, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _check_delta(delta: float):
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Truncate so that tail variance <= delta^2 * v(r_max)."""
@@ -89,8 +94,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 < self.r_max < 1.0):
             raise ValueError(f"r_max must be in (0, 1), got {self.r_max}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
 
 
 def truncation_degree(seq: CoefficientSequence, policy: TruncationPolicy) -> int:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from taylorzeros.cli import ConfigError, main, parse_config_file, parse_slow_spec
@@ -42,6 +43,7 @@ def test_parse_config_file(tiny_cfg):
         ("wavelength = 3", "unknown key"),
         ("gamma 2.0", "key = value"),
         ("law = cauchy", "law"),
+        ("slow = logpow:nan", "slow"),
     ],
 )
 def test_parse_config_file_line_errors(tmp_path, line, fragment):
@@ -186,6 +188,18 @@ def test_gauss_oracle_validation_exits_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_gauss_oracle_failed_factorization_exits_1(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    code = main(["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "20", "-M", "5",
+                 "--seed", "7"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "jitter 1e-12" in err and "(replay with --seed 7)" in err
+
+
 def test_gauss_oracle_wide_window_has_finite_target(capsys):
     # b / a overflows here; log(b) - log(a) = 600 log(10) does not
     code = main(["gauss-oracle", "--gamma", "1", "--a", "1e-300", "--b", "1e300",
@@ -247,10 +261,21 @@ def test_abel_check_single_point(capsys):
         ["abel-check", "--gamma", "200", "--a-list", "0.1"],  # Gamma(200) overflows
         ["abel-check", "--gamma", "1", "--a-list", "0.1,wat"],
         ["abel-check", "--gamma", "1", "--a-list", "2.0"],
+        ["abel-check", "--gamma", "1", "--slow", "const:inf"],
+        ["abel-check", "--gamma", "1", "--slow", "logpow:inf"],
+        ["abel-check", "--gamma", "1", "--slow", "logpow:nan"],
     ],
 )
-def test_abel_check_validation_exits_2(argv):
+def test_abel_check_validation_exits_2(argv, capsys):
     assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_abel_check_large_gamma_gives_finite_ratios(capsys):
+    # k^149 overflows a float past k ~ 1e2; the terms c_k^2 x^(2k) do not
+    assert main(["abel-check", "--gamma", "150", "--a-list", "0.1,0.01"]) == 0
+    ratios = [float(s.split()[0]) for s in capsys.readouterr().out.split("ratio=")[1:]]
+    assert len(ratios) == 2 and all(math.isfinite(r) and r > 0.0 for r in ratios)
 
 
 # ------------------------------------------------------------------ shell

@@ -40,13 +40,18 @@ class TestCoeff:
             for k in (0, 1, 2, 17, 39):
                 assert vec[k] == seq.coeff(k)
 
-    def test_c0_limit_convention(self):
-        flat = CoefficientSequence(1.0, c0_zero=False)
-        assert flat.coeff(0) == 1.0
-        assert all(flat.coeff(k) == 1.0 for k in range(1, 6))
-        assert CoefficientSequence(2.0, c0_zero=False).coeff(0) == 0.0
-        with pytest.raises(ValueError):
-            CoefficientSequence(0.5, c0_zero=False)
+    def test_large_gamma_csq_is_finite(self):
+        # 200^149 overflows a float; c_200^2 itself is about 1.9e82
+        want = math.exp(149.0 * math.log(200.0) - math.lgamma(150.0))
+        assert CoefficientSequence(150.0).csq(200) == pytest.approx(want, rel=1e-12)
+
+    def test_slow_variation_validation(self):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Constant(bad)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                LogPower(bad)
 
     def test_gamma_validation(self):
         # gamma = 171.7 and up: Gamma(gamma), the divisor in c_k^2, overflows
@@ -66,7 +71,6 @@ class TestVariance:
 
     def test_at_zero(self):
         assert CoefficientSequence(1.0).variance_v(0.0) == 0.0
-        assert CoefficientSequence(1.0, c0_zero=False).variance_v(0.0) == 1.0
 
     def test_geometric_closed_form(self):
         seq = CoefficientSequence(1.0)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from taylorzeros import experiments
 from taylorzeros.gauss import (
+    CovarianceConditioningError,
     PathSampler,
     cov_y,
     cov_z,
@@ -66,7 +68,7 @@ class TestCurvature:
 
     def test_finite_difference_agrees(self):
         for gamma in (0.5, 1.0, 2.0, 4.0):
-            fd = rho_second_derivative_fd(gamma, h=1e-3)
+            fd = rho_second_derivative_fd(gamma)
             assert abs(fd - rho_second_derivative(gamma)) < 1e-6
 
 
@@ -119,11 +121,51 @@ class TestPathSampler:
         stderr = np.sqrt((1.0 + want**2) / m)
         assert np.all(np.abs(emp - want) < 5.0 * stderr + s.jitter)
 
-    def test_jitter_ladder_handles_near_duplicates(self):
+    def test_near_duplicates_factorize_at_the_fixed_jitter(self):
         u = np.concatenate([np.linspace(0.0, 1.0, 50), [1.0 + 1e-9]])
         s = PathSampler(u, 1.0)
-        assert s.jitter in (0.0, 1e-12, 1e-10, 1e-8)
+        assert s.jitter == 1e-12
         assert np.all(np.isfinite(s.draw(trial_rng(0), 1)))
+
+    def test_one_factorization_per_sampler(self, monkeypatch):
+        shapes, cholesky = [], np.linalg.cholesky
+
+        def spy(a):
+            shapes.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        PathSampler(np.linspace(0.0, TWO_PI, 101), 1.0)
+        PathSampler(np.array([0.0]), 2.0)
+        assert shapes == [(101, 101), (1, 1)]
+
+    def test_oracle_grids_factorize_at_the_fixed_jitter(self, monkeypatch):
+        # the grids run_gaussian_oracle builds; without the jitter Cholesky
+        # fails on nearly all of them
+        built = []
+
+        class Recording(PathSampler):
+            def __init__(self, u, gamma):
+                super().__init__(u, gamma)
+                built.append(self)
+
+        monkeypatch.setattr(experiments, "PathSampler", Recording)
+        windows = [(g, eta, 1) for g in (0.5, 1.0, 2.0, 4.0) for eta in (0.02, 0.01)]
+        windows += [(g, 0.02, 20) for g in (0.5, 1.0, 2.0)]
+        for gamma, eta, periods in windows:
+            b = math.exp(periods * TWO_PI)
+            experiments.run_gaussian_oracle(gamma, 1.0, b, trials=1, eta=eta)
+        assert len(built) == len(windows)
+        assert all(s.jitter == 1e-12 for s in built)
+        assert max(s.u.size for s in built) == 1416
+
+    def test_failed_factorization_names_the_jitter(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(CovarianceConditioningError, match="1e-12 on 11 points"):
+            PathSampler(np.linspace(0.0, 1.0, 11), 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -143,7 +185,7 @@ class TestPathZeroCounts:
     def test_batch_shape(self):
         vals = np.ones((11, 5))
         vals[3, 2] = -1.0
-        out = path_zero_counts(vals, axis=0)
+        out = path_zero_counts(vals)
         assert out.shape == (5,)
         assert out[2] == 2 and out.sum() == 2
 
@@ -155,7 +197,7 @@ class TestPathZeroCounts:
                 step = 0.02 * TWO_PI / math.sqrt(gamma)
                 npts = int(math.ceil(T / step)) + 1
                 sampler = PathSampler(np.linspace(0.0, T, npts), gamma)
-                counts = path_zero_counts(sampler.draw(trial_rng(31), m), axis=0)
+                counts = path_zero_counts(sampler.draw(trial_rng(31), m))
                 want = math.sqrt(gamma) / TWO_PI * T
                 stderr = counts.std(ddof=1) / math.sqrt(m)
                 assert abs(counts.mean() - want) < 3.0 * stderr + 0.02 * want, (
