@@ -12,8 +12,9 @@ Subcommands:
   exit 0 iff |ratio - 1| is nonincreasing along the list.
 
 Exit codes: 0 success, 1 runtime failure (message includes the seed needed
-to replay), 2 usage or validation error. The output directory is taken from
---out, else the TAYLORZEROS_OUT environment variable, else ./taylorzeros-out.
+to replay), including a value that overflows a float, 2 usage or validation
+error. The output directory is taken from --out, else the TAYLORZEROS_OUT
+environment variable, else ./taylorzeros-out.
 
 Config files are flat `key = value` text; `#` starts a comment. Keys match
 ExperimentConfig fields: gamma (required), q, law, slow, n_min, n_max,
@@ -38,7 +39,6 @@ from .experiments import (
     run_interval_experiment,
 )
 from .reports import (
-    RunManifest,
     build_report,
     cumulative_csv_text,
     interval_csv_text,
@@ -150,10 +150,10 @@ def _cmd_simulate(args) -> int:
     _write(out_dir, "cumulative.csv", cumulative_csv_text(slope))
     report = build_report("simulate", config.to_dict(), intervals=estimates, slope=slope)
     _write(out_dir, "report.json", report_json_text(report))
-    manifest = RunManifest(
+    manifest = manifest_json_text(
         "simulate", str(args.config), config.to_dict(), str(out_dir)
     )
-    _write(out_dir, "manifest.json", manifest_json_text(manifest))
+    _write(out_dir, "manifest.json", manifest)
     print(f"interval counts (law={config.law.value}, q={config.q}, "
           f"gamma={config.gamma}, trials={config.trials}):")
     for e in estimates:
@@ -183,8 +183,8 @@ def _cmd_gauss_oracle(args) -> int:
         }
         report = build_report("gauss-oracle", flags, oracle=summary)
         _write(out_dir, "report.json", report_json_text(report))
-        manifest = RunManifest("gauss-oracle", None, flags, str(out_dir))
-        _write(out_dir, "manifest.json", manifest_json_text(manifest))
+        manifest = manifest_json_text("gauss-oracle", None, flags, str(out_dir))
+        _write(out_dir, "manifest.json", manifest)
         print(f"wrote report.json manifest.json -> {out_dir}")
     return 0
 
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError, or validation below the CLI layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, MemoryError, OSError) as exc:
+    except (RuntimeError, MemoryError, OSError, OverflowError) as exc:
         seed = getattr(args, "_replay_seed", None)
         if seed is None:
             seed = getattr(args, "seed", None)

@@ -183,6 +183,7 @@ class CoefficientSequence:
 
         Sums in blocks of 64 terms doubling up to _BLOCK, and stops once the
         geometric tail bound is below rel_tol times the partial sum; 0 <= x < 1.
+        Raises OverflowError when the sum does not fit in a float.
         """
         if not (0.0 <= x < 1.0):
             raise ValueError(f"variance_v needs x in [0, 1), got {x}")
@@ -195,7 +196,10 @@ class CoefficientSequence:
         while lo < _MAX_TERMS:
             hi = lo + size
             k = np.arange(lo, hi, dtype=float)
-            total += float(np.sum(np.exp(self._log_csq(k) + log_x2 * k)))
+            with np.errstate(over="ignore"):
+                total += float(np.sum(np.exp(self._log_csq(k) + log_x2 * k)))
+            if not math.isfinite(total):
+                raise OverflowError(f"v(x) overflows a float at x={x}, gamma={self.gamma}")
             lo, size = hi, min(2 * size, _BLOCK)
             if self.tail_bound(x, hi - 1) <= rel_tol * total:
                 return total
@@ -218,9 +222,6 @@ class CoefficientSequence:
             raise ValueError("max_share needs n >= 1")
         w = self.csq(np.arange(0, n + 1))
         return float(np.max(w) / np.sum(w))
-
-    def label(self) -> str:
-        return f"gamma={self.gamma!r},L={self.slow.label()}"
 
 
 #: Coefficient families exercised throughout the test suite.

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSequence
-from .sampling import TruncationPolicy, truncation_degree
 
 __all__ = [
     "TruncationError",
@@ -63,10 +62,6 @@ class TruncationError(ValueError):
 class WeightArray:
     """Squared weights a_{n,k}^2 for k = 0..K plus certified tail mass."""
 
-    seq: CoefficientSequence
-    n: int
-    q: float
-    K: int
     a_sq: np.ndarray = field(repr=False)
     tail_mass: float
 
@@ -90,20 +85,17 @@ def _validate_nq(n: int, q: float):
     _check_q(q)
 
 
-def weights(
-    seq: CoefficientSequence, n: int, q: float, K: int | None = None
-) -> WeightArray:
-    """Weight array at scale n; K defaults to a tail-certified truncation.
+def weights(seq: CoefficientSequence, n: int, q: float, K: int) -> WeightArray:
+    """Weight array at scale n for k = 0..K.
 
-    Raises TruncationError when the given K leaves tail mass above 1e-10.
+    Raises TruncationError when K leaves tail mass above 1e-10. Each weight
+    is exp(log c_k^2 + 2k log x) / v(x), so it is finite wherever v(x) is,
+    even where c_k^2 alone overflows.
     """
     _validate_nq(n, q)
-    x = 1.0 - q**n
-    if K is None:
-        # tail <= 1e-10 v(x) is the delta = 1e-5 truncation policy
-        K = truncation_degree(seq, TruncationPolicy(x, 1e-5))
     if K < 1:
         raise ValueError("K must be >= 1")
+    x = 1.0 - q**n
     v = seq.variance_v(x, rel_tol=1e-13)
     tail_mass = seq.tail_bound(x, K) / v
     if not (tail_mass <= _TAIL_CEILING):
@@ -111,9 +103,13 @@ def weights(
             f"K={K} keeps tail mass {tail_mass:.3e} > {_TAIL_CEILING} at n={n}"
         )
     k = np.arange(K + 1, dtype=float)
-    log_x = math.log1p(-(q**n))
-    a_sq = seq.csq(k) * np.exp((2.0 * log_x) * k) / v
-    return WeightArray(seq=seq, n=n, q=q, K=K, a_sq=a_sq, tail_mass=tail_mass)
+    k[0] = 1.0  # c_0 = 0; a_sq[0] is set below
+    a_sq = seq._log_csq(k)
+    a_sq += (2.0 * math.log1p(-(q**n))) * k
+    np.exp(a_sq, out=a_sq)
+    a_sq /= v
+    a_sq[0] = 0.0
+    return WeightArray(a_sq=a_sq, tail_mass=tail_mass)
 
 
 def rearrange(w: WeightArray) -> np.ndarray:
@@ -192,15 +188,9 @@ class DiagnosticsReport:
     def n0_corridor(self):
         return self._first_n_from_which("corridor_ok")
 
-    def all_sorted_dominated(self) -> bool:
-        return all(r.sorted_dominated for r in self.rows if not r.skipped)
-
-    def all_normalized(self) -> bool:
-        return all(r.norm_ok for r in self.rows if not r.skipped)
-
     def exact_invariants_hold(self) -> bool:
         """Rearrangement domination and unit normalization on every tested n."""
-        return self.all_sorted_dominated() and self.all_normalized()
+        return all(r.sorted_dominated and r.norm_ok for r in self.rows if not r.skipped)
 
     def chat_values(self):
         return [(r.n, r.chat) for r in self.rows if not r.skipped]

@@ -4,9 +4,10 @@ Four runners, one per question:
 
 - `run_interval_experiment`: zero counts on the dyadic intervals
   [1-q^n, 1-q^(n+1)), whose means converge to sqrt(gamma) log(1/q) / (2 pi);
-- `run_cumulative`: counts on [0, r) assembled by tiling, with a least
-  squares slope of the cumulative mean against -log(1-r) over the last half
-  of the points (the growth constant, target sqrt(gamma)/(2 pi));
+- `run_cumulative`: counts on [0, r), r = 1-q^m, summed over the dyadic
+  tiles below r, with a least squares slope of the cumulative mean against
+  -log(1-r) over the last half of the points (the growth constant, target
+  sqrt(gamma)/(2 pi));
 - `run_gaussian_oracle`: the same counting applied to exact samples of the
   stationary limit process, so the Monte Carlo machinery can be validated
   against the closed-form Rice count;
@@ -227,12 +228,9 @@ def _interval_values(config: ExperimentConfig, n: int, a: float, b: float):
     return _finite(pts, vals)
 
 
-def _estimate_interval(
-    config: ExperimentConfig, n: int, b_override: float | None = None
-) -> IntervalEstimate:
-    """One interval's estimate; b_override scans the partial tile [a, r)."""
-    a = 1.0 - config.q**n
-    b = 1.0 - config.q ** (n + 1) if b_override is None else b_override
+def _estimate_interval(config: ExperimentConfig, n: int) -> IntervalEstimate:
+    """The estimate on tile n, [1-q^n, 1-q^(n+1))."""
+    a, b = 1.0 - config.q**n, 1.0 - config.q ** (n + 1)
     vals = _interval_values(config, n, a, b)
     counts = path_zero_counts(vals[::2])  # the grid's own points; vals is halved
     return IntervalEstimate.from_counts(
@@ -252,22 +250,23 @@ def run_interval_experiment(config: ExperimentConfig, jobs: int = 1):
     return [_estimate_interval(config, n) for n in range(config.n_min, config.n_max + 1)]
 
 
-def _tiles_for(q: float, r: float):
-    """Number of full dyadic tiles below r, and the partial remainder."""
+def _tiles_for(q: float, r: float) -> int:
+    """The m >= 1 with r = 1-q^m (to 1e-9 in m); any other r raises ValueError."""
     v = math.log1p(-r) / math.log(q)
     m = round(v)
-    if abs(v - m) < 1e-9:
-        return int(m), None
-    return int(math.floor(v)), r
+    if m < 1 or not abs(v - m) < 1e-9:
+        raise ValueError(f"r={r} is not a tile boundary 1-q^m for q={q}")
+    return m
 
 
 def run_cumulative(config: ExperimentConfig, r_list, *, known=()) -> SlopeReport:
     """Cumulative counts on [0, r) for each r, plus the fitted growth slope.
 
-    Tiles [0, r) dyadically, estimates each tile once, and sums the means;
-    the config's n_min/n_max are ignored in favor of the tiling r_list
-    requires. The slope is least squares over the last ceil(half) points of
-    cumulative mean against -log(1-r).
+    Each r must be a tile boundary 1-q^m with m >= 1; any other r raises
+    ValueError. [0, r) is the union of tiles 0..m-1: each tile is estimated
+    once and the means are summed. The config's n_min/n_max are ignored in
+    favor of the tiles r_list requires. The slope is least squares over the
+    last ceil(half) points of cumulative mean against -log(1-r).
 
     `known`: estimates `run_interval_experiment(config)` already made; their
     full tiles are not scanned again. One whose a, b, law, trials or target
@@ -278,6 +277,7 @@ def run_cumulative(config: ExperimentConfig, r_list, *, known=()) -> SlopeReport
     rs = sorted(float(r) for r in r_list)
     if any(not (0.0 < r < 1.0) for r in rs):
         raise ValueError("every r must be in (0, 1)")
+    tiles = [_tiles_for(config.q, r) for r in rs]
     known = {e.n: e for e in known}
     per_tile = (config.law.value, config.trials, interval_target(config.gamma, config.q))
     for n, e in known.items():
@@ -286,23 +286,13 @@ def run_cumulative(config: ExperimentConfig, r_list, *, known=()) -> SlopeReport
             raise ValueError(f"known estimate for n={n} does not match its tile")
     if not rs:
         return SlopeReport([], [], [], [], math.nan, target, math.nan, 0)
-    plans = {r: _tiles_for(config.q, r) for r in rs}
-    deepest = max(m for m, _ in plans.values())
     full = {
         n: known[n] if n in known else _estimate_interval(config, n)
-        for n in range(deepest)
-    }
-    partial = {
-        r: _estimate_interval(config, m, b_override=rp)
-        for r, (m, rp) in plans.items()
-        if rp is not None
+        for n in range(max(tiles))
     }
     means, stderrs, us = [], [], []
-    for r in rs:
-        m, rp = plans[r]
+    for r, m in zip(rs, tiles):
         ests = [full[n] for n in range(m)]
-        if rp is not None:
-            ests.append(partial[r])
         means.append(float(sum(e.mean_count for e in ests)))
         stderrs.append(float(math.sqrt(sum(e.stderr**2 for e in ests))))
         us.append(-math.log1p(-r))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -28,7 +27,6 @@ __all__ = [
     "build_report",
     "report_json_text",
     "load_schema",
-    "RunManifest",
     "manifest_json_text",
 ]
 
@@ -149,29 +147,17 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    config_path: str | None
-    resolved_config: dict
-    out_dir: str
-    version: str = __version__
-    created_utc: str = ""
-
-    def __post_init__(self):
-        if not self.created_utc:
-            self.created_utc = datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            )
-
-
-def manifest_json_text(manifest: RunManifest) -> str:
+def manifest_json_text(
+    subcommand: str, config_path: str | None, resolved_config: dict, out_dir: str
+) -> str:
+    """The run manifest: what reproduces the run, stamped with the package
+    version and the UTC time of writing."""
     d = {
-        "subcommand": manifest.subcommand,
-        "config_path": manifest.config_path,
-        "resolved_config": _sanitize(manifest.resolved_config),
-        "out_dir": manifest.out_dir,
-        "version": manifest.version,
-        "created_utc": manifest.created_utc,
+        "subcommand": subcommand,
+        "config_path": config_path,
+        "resolved_config": _sanitize(resolved_config),
+        "out_dir": out_dir,
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     return json.dumps(d, sort_keys=True, indent=2) + "\n"

@@ -188,7 +188,7 @@ def test_criterion_8_exact_invariant_suite(diagnostics_g1):
     for gamma in (0.5, 1.0, 2.0):
         seq = CoefficientSequence(gamma)
         for n in (2, 6):
-            w = weights(seq, n, 0.5)
+            w = weights(seq, n, 0.5, math.ceil(40 * n * 2**n))
             if abs(w.a_sq.sum() - 1.0) > 1e-10:
                 problems.append(f"normalization gamma={gamma} n={n}")
             b_sq = rearrange(w)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taylorzeros
 from taylorzeros.cli import ConfigError, main, parse_config_file, parse_slow_spec
 from taylorzeros.coeffs import Constant, LogLog, LogPower
 
@@ -240,6 +245,14 @@ def test_diagnostics_validation_exits_2(argv):
     assert main(argv) == 2
 
 
+def test_diagnostics_large_gamma_exits_0(capsys):
+    # c_k^2 overflows a float at gamma=150, n=6, 7; the weights do not, so
+    # the exact invariants hold (exit 0) and no row reads inf or nan
+    assert main(["diagnostics", "--gamma", "150", "--n-min", "5", "--n-max", "7"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:5]
+    assert len(rows) == 3 and not any("inf" in r or "nan" in r for r in rows)
+
+
 # -------------------------------------------------------------- abel-check
 
 
@@ -276,6 +289,27 @@ def test_abel_check_large_gamma_gives_finite_ratios(capsys):
     assert main(["abel-check", "--gamma", "150", "--a-list", "0.1,0.01"]) == 0
     ratios = [float(s.split()[0]) for s in capsys.readouterr().out.split("ratio=")[1:]]
     assert len(ratios) == 2 and all(math.isfinite(r) and r > 0.0 for r in ratios)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abel-check", "--gamma", "150"],  # v(1-a) overflows from a = 1e-3 on
+        ["diagnostics", "--gamma", "150", "--n-min", "8", "--n-max", "8"],
+    ],
+)
+def test_overflowing_variance_is_runtime_failure(argv):
+    # a fresh interpreter shows what a user sees: the exit code, no traceback,
+    # and no numpy RuntimeWarning (which -W error turns into a traceback)
+    src = str(Path(taylorzeros.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "taylorzeros", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("runtime failure: v(x) overflows a float")
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------------------ shell

@@ -72,6 +72,11 @@ class TestVariance:
     def test_at_zero(self):
         assert CoefficientSequence(1.0).variance_v(0.0) == 0.0
 
+    def test_overflow_raises(self):
+        # v(1-2^-9) ~ 2^(8*150) does not fit in a float; no numpy warning escapes
+        with pytest.raises(OverflowError, match=r"x=0\.998046875, gamma=150\.0"):
+            CoefficientSequence(150.0).variance_v(1.0 - 2.0**-9)
+
     def test_geometric_closed_form(self):
         seq = CoefficientSequence(1.0)
         for x in (0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-3):
@@ -155,8 +160,8 @@ class TestMaxShare:
     def test_presets_vanish(self):
         for seq in PRESETS:
             shares = [seq.max_share(n) for n in (10**3, 10**4, 10**5, 10**6)]
-            assert shares[-1] < 1e-2, seq.label()
-            assert all(s1 > s2 for s1, s2 in zip(shares, shares[1:])), seq.label()
+            assert shares[-1] < 1e-2, seq
+            assert all(s1 > s2 for s1, s2 in zip(shares, shares[1:])), seq
 
     def test_domain(self):
         with pytest.raises(ValueError):

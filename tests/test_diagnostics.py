@@ -15,17 +15,31 @@ from taylorzeros.diagnostics import (
 FLAT = CoefficientSequence(1.0)
 
 
+def K_for(n, q=0.5):
+    """The K that check_weight_inequalities uses at scale n."""
+    return math.ceil(40 * n * q**-n)
+
+
 class TestWeights:
     def test_first_scale_frozen_value(self):
-        w = weights(FLAT, 1, 0.5)
+        w = weights(FLAT, 1, 0.5, K_for(1))
         assert w.a_sq[0] == 0.0
         assert w.a_sq[1] == pytest.approx(0.75, rel=1e-12)
 
     def test_normalization_with_tail(self):
         for seq in (FLAT, CoefficientSequence(0.5), CoefficientSequence(2.0)):
             for n in (1, 4, 8):
-                w = weights(seq, n, 0.5)
+                w = weights(seq, n, 0.5, K_for(n))
                 assert abs(float(np.sum(w.a_sq)) + w.tail_mass - 1.0) <= 1e-10
+
+    def test_large_gamma_weights_stay_finite(self):
+        # at gamma=150, c_k^2 overflows a float past k = 6571, inside K(6) = 15360,
+        # while v(1-2^-n) is still finite for n <= 7 (about 4.7e270 at n=7)
+        seq = CoefficientSequence(150.0)
+        for n in (6, 7):
+            w = weights(seq, n, 0.5, K_for(n))
+            assert np.all(np.isfinite(w.a_sq))
+            assert abs(float(np.sum(w.a_sq)) + w.tail_mass - 1.0) <= 1e-10
 
     def test_undersized_K_rejected(self):
         with pytest.raises(TruncationError):
@@ -33,23 +47,23 @@ class TestWeights:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            weights(FLAT, 0, 0.5)
+            weights(FLAT, 0, 0.5, 10)
         with pytest.raises(ValueError):
-            weights(FLAT, 2, 1.0)
+            weights(FLAT, 2, 1.0, 10)
         with pytest.raises(ValueError):
             weights(FLAT, 2, 0.5, K=0)
 
 
 class TestRearrange:
     def test_sorted_and_same_multiset(self):
-        w = weights(CoefficientSequence(3.0), 5, 0.5)
+        w = weights(CoefficientSequence(3.0), 5, 0.5, K_for(5))
         b = rearrange(w)
         assert np.all(np.diff(b) <= 0.0)
         assert np.array_equal(np.sort(b), np.sort(w.a_sq))
         assert b[0] == np.max(w.a_sq)
 
     def test_tail_pair_shapes(self):
-        w = weights(FLAT, 4, 0.5)
+        w = weights(FLAT, 4, 0.5, K_for(4))
         pair = tail_pair(w)
         for tails in (pair.tilde, pair.sorted):
             assert tails.shape == w.a_sq.shape
@@ -63,7 +77,7 @@ class TestRearrange:
 class TestInequalityReport:
     def test_flat_family(self):
         rep = check_weight_inequalities(FLAT, 0.5, range(1, 11))
-        assert rep.all_sorted_dominated()
+        assert rep.exact_invariants_hold()
         assert rep.n0_largest_weight() == 2  # n=1 genuinely violates the bound
         assert not rep.rows[0].b0_ok
         assert rep.n0_corridor() == 1
@@ -78,7 +92,7 @@ class TestInequalityReport:
                 CoefficientSequence(gamma), 0.5, range(1, 9)
             )
             assert rep.n0_largest_weight() == 1
-            assert rep.all_sorted_dominated()
+            assert rep.exact_invariants_hold()
             assert rep.n0_corridor() == 1
 
     def test_budget_skip(self):
@@ -94,5 +108,6 @@ class TestInequalityReport:
         rep = check_weight_inequalities(FLAT, 0.5, [4])
         row = rep.rows[0]
         assert row.b0_bound == pytest.approx(0.5**2.0)
-        assert row.b0_sq == pytest.approx(weights(FLAT, 4, 0.5).a_sq[1], rel=1e-12)
+        w = weights(FLAT, 4, 0.5, K_for(4))
+        assert row.b0_sq == pytest.approx(w.a_sq[1], rel=1e-12)
         assert row.max_sorted_excess <= 1e-12

@@ -172,6 +172,12 @@ def test_single_trial_gives_nan_spread_without_crashing():
     assert math.isnan(e.ci_lo) and math.isnan(e.ci_hi)
 
 
+def test_interval_with_overflowing_variance_raises():
+    # v(1-2^-9) overflows at gamma=150; a silent K=1 gave mean 0 against 1.351
+    with pytest.raises(OverflowError):
+        run_interval_experiment(ExperimentConfig(gamma=150.0, n_min=8, n_max=8, trials=50))
+
+
 def test_deep_interval_mean_approaches_limit():
     cfg = ExperimentConfig(gamma=1.0, n_min=10, n_max=10, trials=600, master_seed=2026)
     e = run_interval_experiment(cfg)[0]
@@ -183,10 +189,12 @@ def test_deep_interval_mean_approaches_limit():
 
 
 def test_tile_planner_detects_exact_boundaries():
-    assert _tiles_for(0.5, 1 - 2.0**-5) == (5, None)
-    assert _tiles_for(0.5, 0.5) == (1, None)
-    m, rp = _tiles_for(0.5, 0.7)
-    assert m == 1 and rp == 0.7
+    assert _tiles_for(0.5, 1 - 2.0**-5) == 5
+    assert _tiles_for(0.5, 0.5) == 1
+    assert _tiles_for(0.25, 0.9375) == 2
+    for q, r in [(0.5, 0.7), (0.5, 0.75 + 1e-6), (0.25, 0.5), (0.5, 1e-12)]:
+        with pytest.raises(ValueError, match=f"r={r} .* q={q}"):
+            _tiles_for(q, r)
 
 
 def test_cumulative_empty_r_list():
@@ -225,9 +233,9 @@ def test_cumulative_reuses_known_tiles(monkeypatch):
     scanned = []
     estimate = experiments_mod._estimate_interval
 
-    def counting(config, n, b_override=None):
+    def counting(config, n):
         scanned.append(n)
-        return estimate(config, n, b_override)
+        return estimate(config, n)
 
     monkeypatch.setattr(experiments_mod, "_estimate_interval", counting)
     reused = run_cumulative(cfg, rs, known=ests)
@@ -244,13 +252,15 @@ def test_cumulative_rejects_known_tiles_whose_fields_differ(other):
     # slow, delta or eta, so only the recorded fields can be checked
     base = dict(n_min=2, n_max=3, trials=20)
     ests = run_interval_experiment(small_config(**{**base, **other}))
-    with pytest.raises(ValueError):
-        run_cumulative(small_config(**base), [0.9], known=ests)
+    with pytest.raises(ValueError, match="known estimate for n=2"):
+        run_cumulative(small_config(**base), [0.875], known=ests)
 
 
-def test_cumulative_handles_partial_tiles():
+def test_cumulative_rejects_partial_tiles():
     cfg = ExperimentConfig(gamma=1.0, trials=30, master_seed=23)
-    rep = run_cumulative(cfg, [0.3, 0.5, 0.7])
+    with pytest.raises(ValueError, match="r=0.7 is not a tile boundary"):
+        run_cumulative(cfg, [0.5, 0.7])
+    rep = run_cumulative(cfg, [0.5, 0.75, 0.875])
     assert len(rep.cumulative_means) == 3
     assert all(math.isfinite(m) for m in rep.cumulative_means)
     # counting starts at the origin where every sample vanishes

@@ -15,7 +15,6 @@ from taylorzeros.experiments import (
 from taylorzeros.reports import (
     CUMULATIVE_CSV_COLUMNS,
     INTERVAL_CSV_COLUMNS,
-    RunManifest,
     build_report,
     cumulative_csv_text,
     interval_csv_text,
@@ -127,9 +126,11 @@ def test_schema_rejects_extra_top_level_keys(cfg):
 
 
 def test_manifest_carries_reproduction_info(cfg):
-    m = RunManifest("simulate", "presets/x.cfg", cfg.to_dict(), "outdir")
-    text = manifest_json_text(m)
+    text = manifest_json_text("simulate", "presets/x.cfg", cfg.to_dict(), "outdir")
     parsed = json.loads(text)
+    assert set(parsed) == {
+        "subcommand", "config_path", "resolved_config", "out_dir", "version", "created_utc"
+    }
     assert parsed["subcommand"] == "simulate"
     assert parsed["resolved_config"]["master_seed"] == 31
     assert parsed["resolved_config"]["law"] == "rademacher"

@@ -46,6 +46,12 @@ class TestTruncation:
         assert k_min == 20
         assert k_min <= got <= 2 * k_min
 
+    def test_overflowing_variance_raises(self):
+        # an infinite v(r) would certify K=1 for any tail
+        policy = TruncationPolicy(1.0 - 2.0**-9, 1e-6)
+        with pytest.raises(OverflowError):
+            truncation_degree(CoefficientSequence(150.0), policy)
+
     def test_tiny_radius(self):
         assert truncation_degree(FLAT, TruncationPolicy(1e-7, 1e-6)) == 1
 
