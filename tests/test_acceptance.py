@@ -82,19 +82,22 @@ def test_criterion_2_stationary_curvature():
 
 
 def test_criterion_3_per_interval_limit_trend(interval_g1):
+    # every tile's mean within 3 stderr of the limit: from n=4 on the finite-n
+    # gap (below 0.0026) is a third of the stderr at M=2000 (about 0.0074), so
+    # a least-squares slope of |mean - target| against n was decided by noise
     target = interval_g1[0].target
-    gaps = [abs(e.mean_count - target) for e in interval_g1]
-    ns = [e.n for e in interval_g1]
-    trend = float(np.polyfit(ns, gaps, 1)[0])
+    zs = [(e.mean_count - target) / e.stderr for e in interval_g1]
     final = interval_g1[-1]
-    band_ok = gaps[-1] < 0.2 * target
-    trend_ok = trend <= 0.0
-    ok = band_ok and trend_ok
+    gap = abs(final.mean_count - target)
+    band_ok = gap < 0.2 * target
+    z_ok = all(abs(z) < 3.0 for z in zs)
+    ok = band_ok and z_ok
     line = _criterion(
         3,
         ok,
-        f"mean(10)={final.mean_count:.5f} vs 0.11032 (gap {gaps[-1]:.5f}, "
-        f"20% band {0.2 * target:.5f}); |gap| trend slope {trend:+.6f}",
+        f"mean(10)={final.mean_count:.5f} vs 0.11032 (gap {gap:.5f}, "
+        f"20% band {0.2 * target:.5f}); worst |mean-target|/stderr over "
+        f"n={interval_g1[0].n}..{final.n} is {max(abs(z) for z in zs):.2f} (< 3)",
     )
     assert ok, line
 
