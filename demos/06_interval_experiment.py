@@ -28,10 +28,9 @@ for e in estimates:
     print(f"  n={e.n}  mean={e.mean_count:.4f} +- {e.stderr:.4f}   "
           f"target {e.target:.4f}   counts {e.count_hist}")
 
-# cumulative counts N[0, r) grow like (sqrt(gamma)/2 pi) log(1/(1-r));
-# tiles n=4..7 reuse the estimates above instead of being scanned again
+# cumulative counts N[0, r) grow like (sqrt(gamma)/2 pi) log(1/(1-r))
 rs = [1 - 2.0**-n for n in range(4, 9)]
-slope = run_cumulative(config, rs, known=estimates)
+slope = run_cumulative(config, rs)
 print()
 print("cumulative growth:")
 for r, u, m in zip(slope.r_values, slope.u_values, slope.cumulative_means):

@@ -32,8 +32,10 @@ from pathlib import Path
 
 from .coeffs import CoefficientSequence, Constant, LogLog, LogPower
 from .diagnostics import check_weight_inequalities
+# run_interval_experiment and run_cumulative are unused: bench/tracing.py wraps them here
 from .experiments import (
     ExperimentConfig,
+    _simulate,
     run_cumulative,
     run_gaussian_oracle,
     run_interval_experiment,
@@ -142,10 +144,7 @@ def _cmd_simulate(args) -> int:
         config = replace(config, master_seed=args.seed)
     args._replay_seed = config.master_seed
     out_dir = _resolve_out(args.out)
-    # both runners are called by name here: bench/tracing.py wraps them on cli
-    estimates = run_interval_experiment(config)
-    r_list = [1.0 - config.q ** (n + 1) for n in range(config.n_min, config.n_max + 1)]
-    slope = run_cumulative(config, r_list, known=estimates)
+    estimates, slope = _simulate(config)
     _write(out_dir, "intervals.csv", interval_csv_text(config, estimates))
     _write(out_dir, "cumulative.csv", cumulative_csv_text(slope))
     report = build_report("simulate", config.to_dict(), intervals=estimates, slope=slope)

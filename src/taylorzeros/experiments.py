@@ -4,10 +4,10 @@ Four runners, one per question:
 
 - `run_interval_experiment`: zero counts on the dyadic intervals
   [1-q^n, 1-q^(n+1)), whose means converge to sqrt(gamma) log(1/q) / (2 pi);
-- `run_cumulative`: counts on [0, r), r = 1-q^m, summed over the dyadic
-  tiles below r, with a least squares slope of the cumulative mean against
-  -log(1-r) over the last half of the points (the growth constant, target
-  sqrt(gamma)/(2 pi));
+- `run_cumulative`: counts on [0, r), r = 1-q^m, as per-trial sums over the
+  dyadic tiles below r, with a least squares slope of the cumulative mean
+  against -log(1-r) over the last half of the points (the growth constant,
+  target sqrt(gamma)/(2 pi));
 - `run_gaussian_oracle`: the same counting applied to exact samples of the
   stationary limit process, so the Monte Carlo machinery can be validated
   against the closed-form Rice count;
@@ -15,16 +15,13 @@ Four runners, one per question:
   laws, reporting pairwise mean differences (which should vanish within
   noise: the limit does not feel the law).
 
-`run_interval_experiment` ignores its `jobs` argument; it is kept only because
-the benchmark's `SimulatePreset.jobs2_speedup` (bench/workloads.py) passes it.
-
-Reproducibility contract: trial t of interval n draws its generator from
-`trial_rng(master_seed, n, t)`, the one seed derivation. The trials run
-in one process, one after another, and each trial's values depend only on
-its own draw (one vector-matrix product per table block, never a product
-over several trials), so trial t gets the same values whatever M is. Trial
-seeds do not depend on the law, so rerunning with the identical law gives
-bitwise identical results (and cross-law comparisons are seed-coupled).
+Reproducibility contract: trial t draws from `trial_rng(master_seed, t)`,
+the one seed derivation, and tile n evaluates the prefix xi_0..xi_K(n) of
+that stream, so the tiles of one trial are one series. A trial's values
+depend only on its own draw (never a product over several trials), so its
+counts do not depend on M or on which tiles are asked for. Seeds do not
+depend on the law: rerunning the same law is bitwise identical, and
+cross-law comparisons are seed-coupled.
 """
 
 from __future__ import annotations
@@ -211,43 +208,51 @@ class UniversalityReport:
         }
 
 
-def _interval_values(config: ExperimentConfig, n: int, a: float, b: float):
-    """Trial values on the halved grid of [a, b), shape (points, M); n enters
-    only through the seed key. The grid, the c_k and the power table are
-    built once; a trial is one draw and one weighted sum, the arithmetic of
+def _interval_values(config: ExperimentConfig, a: float, b: float):
+    """Trial values on the halved grid of tile [a, b), shape (points, M). The
+    grid, the c_k and the power table are built once; trial t is one draw
+    from `trial_rng(master_seed, t)` and one weighted sum, the arithmetic of
     `draw_sample(...).evaluate_many(points)`, so the values match it bit for
-    bit. A non-finite value raises EvaluationError at its point."""
+    bit, except at x = 0: there every path vanishes (c_0 = 0), and the value
+    is c_1 xi_1, the sign of f(x)/x as x -> 0+. A non-finite value raises
+    EvaluationError at its point."""
     K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
     pts = ScanGrid(a, b, config.eta, config.gamma)._points(2)
     c = config.seq.coeff(np.arange(K + 1))
     table = _PowerTable(pts, K)
     vals = np.empty((pts.size, config.trials))
     for t in range(config.trials):
-        rng = trial_rng(config.master_seed, n, t)
-        vals[:, t] = table.weighted_sum(config.law.draw(rng, K + 1) * c)
+        w = config.law.draw(trial_rng(config.master_seed, t), K + 1) * c
+        vals[:, t] = table.weighted_sum(w)
+        if a == 0.0:
+            vals[0, t] = w[1]
     return _finite(pts, vals)
 
 
-def _estimate_interval(config: ExperimentConfig, n: int) -> IntervalEstimate:
-    """The estimate on tile n, [1-q^n, 1-q^(n+1))."""
-    a, b = 1.0 - config.q**n, 1.0 - config.q ** (n + 1)
-    vals = _interval_values(config, n, a, b)
-    counts = path_zero_counts(vals[::2])  # the grid's own points; vals is halved
-    return IntervalEstimate.from_counts(
-        counts,
-        interval_target(config.gamma, config.q),
-        n=n,
-        a=a,
-        b=b,
-        law=config.law.value,
-        unstable_fraction=float(np.mean(path_zero_counts(vals) != counts)),
-    )
+def _scan(config: ExperimentConfig, tiles: range):
+    """The estimate of each tile in `tiles`, and the count matrix counts[i, t]:
+    the zeros of trial t's series on tile tiles[i], from the grid's own
+    points, plus on tile 0 the zero at x = 0 that every path has. Tile by
+    tile: a power table lives only in its `_interval_values` call."""
+    target = interval_target(config.gamma, config.q)
+    counts = np.empty((len(tiles), config.trials), dtype=int)
+    estimates = []
+    for row, n in zip(counts, tiles):
+        a, b = 1.0 - config.q**n, 1.0 - config.q ** (n + 1)
+        vals = _interval_values(config, a, b)
+        grid = path_zero_counts(vals[::2])  # the grid's own points; vals is halved
+        row[:] = grid + (a == 0.0)
+        estimates.append(IntervalEstimate.from_counts(
+            row, target, n=n, a=a, b=b, law=config.law.value,
+            unstable_fraction=float(np.mean(path_zero_counts(vals) != grid)),
+        ))
+    return estimates, counts
 
 
 # jobs is ignored; bench/workloads.py SimulatePreset.jobs2_speedup passes it
 def run_interval_experiment(config: ExperimentConfig, jobs: int = 1):
     """Per-interval zero-count estimates for n = n_min..n_max."""
-    return [_estimate_interval(config, n) for n in range(config.n_min, config.n_max + 1)]
+    return _scan(config, range(config.n_min, config.n_max + 1))[0]
 
 
 def _tiles_for(q: float, r: float) -> int:
@@ -259,59 +264,47 @@ def _tiles_for(q: float, r: float) -> int:
     return m
 
 
-def run_cumulative(config: ExperimentConfig, r_list, *, known=()) -> SlopeReport:
-    """Cumulative counts on [0, r) for each r, plus the fitted growth slope.
-
-    Each r must be a tile boundary 1-q^m with m >= 1; any other r raises
-    ValueError. [0, r) is the union of tiles 0..m-1: each tile is estimated
-    once and the means are summed. The config's n_min/n_max are ignored in
-    favor of the tiles r_list requires. The slope is least squares over the
-    last ceil(half) points of cumulative mean against -log(1-r).
-
-    `known`: estimates `run_interval_experiment(config)` already made; their
-    full tiles are not scanned again. One whose a, b, law, trials or target
-    differ from its tile raises ValueError; an estimate does not record
-    master_seed, slow, delta or eta, so these go unchecked.
-    """
+def _slope_report(config: ExperimentConfig, rs, counts) -> SlopeReport:
+    """Per-trial sums of rows 0..m-1 of `counts` for each r = 1-q^m in `rs`
+    (the counts on [0, r)), and the slope fitted to their means."""
     target = math.sqrt(config.gamma) / (2.0 * math.pi)
-    rs = sorted(float(r) for r in r_list)
-    if any(not (0.0 < r < 1.0) for r in rs):
-        raise ValueError("every r must be in (0, 1)")
-    tiles = [_tiles_for(config.q, r) for r in rs]
-    known = {e.n: e for e in known}
-    per_tile = (config.law.value, config.trials, interval_target(config.gamma, config.q))
-    for n, e in known.items():
-        tile = (1.0 - config.q**n, 1.0 - config.q ** (n + 1), *per_tile)
-        if (e.a, e.b, e.law, e.trials, e.target) != tile:
-            raise ValueError(f"known estimate for n={n} does not match its tile")
-    if not rs:
-        return SlopeReport([], [], [], [], math.nan, target, math.nan, 0)
-    full = {
-        n: known[n] if n in known else _estimate_interval(config, n)
-        for n in range(max(tiles))
-    }
-    means, stderrs, us = [], [], []
-    for r, m in zip(rs, tiles):
-        ests = [full[n] for n in range(m)]
-        means.append(float(sum(e.mean_count for e in ests)))
-        stderrs.append(float(math.sqrt(sum(e.stderr**2 for e in ests))))
-        us.append(-math.log1p(-r))
+    ms = [_tiles_for(config.q, r) for r in rs]
+    sums = [CountSummary.from_counts(counts[:m].sum(axis=0), math.nan) for m in ms]
+    means = [s.mean_count for s in sums]
+    us = [-math.log1p(-r) for r in rs]
     n_fit = math.ceil(len(rs) / 2)
-    if len(rs) >= 2 and n_fit >= 2:
+    if n_fit >= 2:
         slope = float(np.polyfit(us[-n_fit:], means[-n_fit:], 1)[0])
     else:
         slope, n_fit = math.nan, 0
     gap = slope / target - 1.0 if math.isfinite(slope) else math.nan
-    return SlopeReport(
-        r_values=rs,
-        u_values=us,
-        cumulative_means=means,
-        cumulative_stderrs=stderrs,
-        fitted_slope=slope,
-        target_slope=target,
-        relative_gap=gap,
-        points_fitted=n_fit,
-    )
+    return SlopeReport(rs, us, means, [s.stderr for s in sums], slope, target, gap, n_fit)
+
+
+def run_cumulative(config: ExperimentConfig, r_list) -> SlopeReport:
+    """Cumulative counts on [0, r) for each r, plus the fitted growth slope.
+
+    Each r must be a tile boundary 1-q^m with m >= 1; any other r raises
+    ValueError. [0, r) is the union of tiles 0..m-1, and trial t scans them
+    all on one series, so its count on [0, r) is the sum of its tile counts.
+    The report gives the mean and sd(ddof=1)/sqrt(M) of these per-trial
+    sums. The config's n_min/n_max are ignored in favor of the tiles r_list
+    requires. The slope is least squares over the last ceil(half) points of
+    cumulative mean against -log(1-r).
+    """
+    rs = sorted(float(r) for r in r_list)
+    if any(not (0.0 < r < 1.0) for r in rs):
+        raise ValueError("every r must be in (0, 1)")
+    _, counts = _scan(config, range(max((_tiles_for(config.q, r) for r in rs), default=0)))
+    return _slope_report(config, rs, counts)
+
+
+def _simulate(config: ExperimentConfig):
+    """`run_interval_experiment(config)`, and `run_cumulative` at r = 1-q^(n+1)
+    for n = n_min..n_max, from one scan of tiles 0..n_max."""
+    estimates, counts = _scan(config, range(config.n_max + 1))
+    rs = [1.0 - config.q ** (n + 1) for n in range(config.n_min, config.n_max + 1)]
+    return estimates[config.n_min :], _slope_report(config, rs, counts)
 
 
 def run_gaussian_oracle(

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-import taylorzeros.experiments as experiments_mod
 import taylorzeros.sampling as sampling_mod
 from taylorzeros.experiments import (
     ExperimentConfig,
     _interval_values,
+    _scan,
     _tiles_for,
     interval_target,
     run_cumulative,
@@ -106,16 +106,18 @@ def _tile(cfg, n):
     return 1 - cfg.q**n, 1 - cfg.q ** (n + 1)
 
 
-def _evaluate_many_columns(cfg, n, a, b):
-    """Trial values the slow way: one draw_sample and evaluate_many each."""
+def _evaluate_many_columns(cfg, a, b):
+    """Trial values the slow way, one draw_sample and evaluate_many each, on
+    trial t's stream SeedSequence(master_seed, spawn_key=(t,)); and the samples."""
     policy = TruncationPolicy(b, cfg.delta)
     K = truncation_degree(cfg.seq, policy)
     pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
-    cols = []
-    for t in range(cfg.trials):
-        ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(n, t))
-        cols.append(draw_sample(cfg.seq, cfg.law, ss, K, policy).evaluate_many(pts))
-    return np.column_stack(cols)
+    samples = [
+        draw_sample(cfg.seq, cfg.law, np.random.SeedSequence(cfg.master_seed, spawn_key=(t,)),
+                    K, policy)
+        for t in range(cfg.trials)
+    ]
+    return np.column_stack([s.evaluate_many(pts) for s in samples]), samples
 
 
 @pytest.mark.parametrize("law", list(CoefficientLaw))
@@ -123,7 +125,14 @@ def _evaluate_many_columns(cfg, n, a, b):
 def test_engine_matches_evaluate_many_bitwise(law, n):
     cfg = small_config(law=law, trials=6)
     a, b = _tile(cfg, n)
-    assert np.array_equal(_interval_values(cfg, n, a, b), _evaluate_many_columns(cfg, n, a, b))
+    ref, samples = _evaluate_many_columns(cfg, a, b)
+    if n == 0:  # f(0) = 0 on every path; the engine holds c_1 xi_1 there
+        assert not ref[0].any()
+        ref[0] = [s.weights[1] for s in samples]
+    assert np.array_equal(_interval_values(cfg, a, b), ref)
+    # counts on the grid's own points, plus the known zero at 0 on tile 0
+    _, counts = _scan(cfg, range(n, n + 1))
+    assert np.array_equal(counts[0], path_zero_counts(ref[::2]) + (n == 0))
 
 
 def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
@@ -131,9 +140,9 @@ def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
     monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", 64)
     cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=5)
     a, b = _tile(cfg, 4)
-    vals = _interval_values(cfg, 4, a, b)
+    vals = _interval_values(cfg, a, b)
     assert vals.shape == (13, 5)
-    assert np.array_equal(vals, _evaluate_many_columns(cfg, 4, a, b))
+    assert np.array_equal(vals, _evaluate_many_columns(cfg, a, b)[0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
@@ -141,10 +150,30 @@ def test_trial_values_do_not_depend_on_trial_count(m):
     # trial t's values are a function of t alone, so M=m is a prefix of M=14;
     # one matrix product over stacked trials fails this at m=1 and m=2
     a, b = _tile(small_config(), 10)
-    short = _interval_values(small_config(trials=m), 10, a, b)
-    long = _interval_values(small_config(trials=14), 10, a, b)
+    short = _interval_values(small_config(trials=m), a, b)
+    long = _interval_values(small_config(trials=14), a, b)
     assert np.array_equal(long[:, :m], short)
     assert np.array_equal(path_zero_counts(long[::2])[:m], path_zero_counts(short[::2]))
+
+
+def test_tile_rows_do_not_depend_on_which_tiles_run():
+    cfg = small_config(trials=30)
+    all_ests, all_counts = _scan(cfg, range(0, 7))
+    ests, counts = _scan(cfg, range(4, 7))
+    assert np.array_equal(all_counts[4:], counts)
+    assert [e.__dict__ for e in all_ests[4:]] == [e.__dict__ for e in ests]
+
+
+def test_tile_zero_counts_the_zero_at_the_origin_once():
+    # gamma=1: c_k = 1, so |c_1 xi_1| = 1 > sum_{k>=2} x^(k-1) on [0, 1/2), and
+    # f/x keeps its sign there: the zero at 0 is the only one
+    (e,) = run_interval_experiment(small_config(n_min=0, n_max=0, trials=200))
+    assert e.count_hist == {1: 200}
+    # Gaussian law, gamma=1: E N[0, 1/2) = 1 + log(3)/(2 pi) exactly (the
+    # density of the zeros of f/x is 1/(pi (1-x^2)))
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, n_min=0, n_max=0, trials=4000)
+    (e,) = run_interval_experiment(cfg)
+    assert abs(e.mean_count - (1 + math.log(3) / (2 * math.pi))) < 3 * e.stderr
 
 
 def test_nonfinite_draw_raises_evaluation_error(monkeypatch):
@@ -212,48 +241,19 @@ def test_cumulative_rejects_bad_r():
 
 
 def test_cumulative_matches_interval_sums_on_dyadic_grid():
-    # same master seed and tiling: the tile estimates must agree exactly
+    # one series per trial across the tiles: the cumulative mean is the sum of
+    # the tile means, and the stderr is that of each trial's summed count
     cfg = ExperimentConfig(gamma=1.0, n_min=0, n_max=3, trials=50, master_seed=17)
     rs = [1 - 2.0**-k for k in range(1, 5)]
     rep = run_cumulative(cfg, rs)
     ests = run_interval_experiment(cfg)
     partial_sums = np.cumsum([e.mean_count for e in ests])
-    assert rep.cumulative_means == pytest.approx(list(partial_sums), abs=0)
+    assert rep.cumulative_means == pytest.approx(list(partial_sums), rel=1e-12)
     assert rep.u_values == pytest.approx([k * math.log(2) for k in range(1, 5)])
-    assert all(
-        s == pytest.approx(math.sqrt(sum(e.stderr**2 for e in ests[:j + 1])), abs=0)
-        for j, s in enumerate(rep.cumulative_stderrs)
-    )
-
-
-def test_cumulative_reuses_known_tiles(monkeypatch):
-    cfg = small_config(n_min=2, n_max=4, trials=20)
-    rs = [1 - 0.5 ** (n + 1) for n in range(2, 5)]
-    ests = run_interval_experiment(cfg)
-    scanned = []
-    estimate = experiments_mod._estimate_interval
-
-    def counting(config, n):
-        scanned.append(n)
-        return estimate(config, n)
-
-    monkeypatch.setattr(experiments_mod, "_estimate_interval", counting)
-    reused = run_cumulative(cfg, rs, known=ests)
-    assert scanned == [0, 1]  # tiles 2..4 come from the known estimates
-    assert reused.to_dict() == run_cumulative(cfg, rs).to_dict()
-
-
-@pytest.mark.parametrize(
-    "other",
-    [dict(trials=21), dict(law=CoefficientLaw.GAUSSIAN), dict(q=0.25), dict(gamma=2.0)],
-)
-def test_cumulative_rejects_known_tiles_whose_fields_differ(other):
-    # an estimate records its tile, law, trials and target, not the seed,
-    # slow, delta or eta, so only the recorded fields can be checked
-    base = dict(n_min=2, n_max=3, trials=20)
-    ests = run_interval_experiment(small_config(**{**base, **other}))
-    with pytest.raises(ValueError, match="known estimate for n=2"):
-        run_cumulative(small_config(**base), [0.875], known=ests)
+    _, counts = _scan(cfg, range(4))
+    sums = np.cumsum(counts, axis=0)  # row m-1: each trial's count on [0, 1-2^-m)
+    assert rep.cumulative_means == [float(s.mean()) for s in sums]
+    assert rep.cumulative_stderrs == [float(s.std(ddof=1)) / math.sqrt(50) for s in sums]
 
 
 def test_cumulative_rejects_partial_tiles():
