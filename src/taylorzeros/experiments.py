@@ -230,10 +230,9 @@ def _interval_values(config: ExperimentConfig, a: float, b: float):
 
 
 def _scan(config: ExperimentConfig, tiles: range):
-    """The estimate of each tile in `tiles`, and the count matrix counts[i, t]:
-    the zeros of trial t's series on tile tiles[i], from the grid's own
-    points, plus on tile 0 the zero at x = 0 that every path has. Tile by
-    tile: a power table lives only in its `_interval_values` call."""
+    """Each tile's estimate, and counts[i, t]: the zeros of trial t's series on
+    tile tiles[i] from the grid's own points, plus on tile 0 the zero at x = 0
+    that every path has. Tile by tile, one table and one `vals` at a time."""
     target = interval_target(config.gamma, config.q)
     counts = np.empty((len(tiles), config.trials), dtype=int)
     estimates = []
@@ -246,6 +245,7 @@ def _scan(config: ExperimentConfig, tiles: range):
             row, target, n=n, a=a, b=b, law=config.law.value,
             unstable_fraction=float(np.mean(path_zero_counts(vals) != grid)),
         ))
+        del vals  # freed before the next tile's power table is built
     return estimates, counts
 
 
