@@ -16,12 +16,12 @@ Four runners, one per question:
   noise: the limit does not feel the law).
 
 Reproducibility contract: trial t draws from `trial_rng(master_seed, t)`,
-the one seed derivation, and tile n evaluates the prefix xi_0..xi_K(n) of
-that stream, so the tiles of one trial are one series. A trial's values
-depend only on its own draw (never a product over several trials), so its
-counts do not depend on M or on which tiles are asked for. Seeds do not
-depend on the law: rerunning the same law is bitwise identical, and
-cross-law comparisons are seed-coupled.
+the one seed derivation, once per table group (`_table_groups`) at the
+group's largest K; tile n uses the prefix xi_0..xi_K(n), the bits a draw at
+K(n) gives, so a trial's tiles are one series. Its values depend on its own
+draw alone (never a product over several trials), so its counts do not
+depend on M, chunking or which tiles run. Seeds do not depend on the law:
+reruns are bitwise identical, and cross-law comparisons are seed-coupled.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .roots import ScanGrid, _check_eta, _finite, _u_grid, count_zeros, path_zer
 from .sampling import (
     CoefficientLaw,
     TruncationPolicy,
+    _EVAL_BLOCK,
     _PowerTable,
     _check_delta,
     draw_sample,
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_ORACLE_CHUNK = 2048
+_CHUNK = 2048  # trials, or oracle paths, per value buffer
 
 
 def _check_trials(trials: int):
@@ -208,45 +209,63 @@ class UniversalityReport:
         }
 
 
-def _interval_values(config: ExperimentConfig, a: float, b: float):
-    """Trial values on the halved grid of tile [a, b), shape (points, M). The
-    grid, the c_k and the power table are built once; trial t is one draw
-    from `trial_rng(master_seed, t)` and one weighted sum, the arithmetic of
-    `draw_sample(...).evaluate_many(points)`, so the values match it bit for
-    bit, except at x = 0: there every path vanishes (c_0 = 0), and the value
-    is c_1 xi_1, the sign of f(x)/x as x -> 0+. A non-finite value raises
-    EvaluationError at its point."""
-    K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
-    pts = ScanGrid(a, b, config.eta, config.gamma)._points(2)
-    c = config.seq.coeff(np.arange(K + 1))
-    table = _PowerTable(pts, K)
-    vals = np.empty((pts.size, config.trials))
-    for t in range(config.trials):
-        w = config.law.draw(trial_rng(config.master_seed, t), K + 1) * c
-        vals[:, t] = table.weighted_sum(w)
-        if a == 0.0:
-            vals[0, t] = w[1]
-    return _finite(pts, vals)
+def _table_groups(config: ExperimentConfig, tiles: range) -> list:
+    """The tiles as (row, n, a, b, K, halved grid) in runs of consecutive tiles
+    whose power tables fit together in the largest one, or in one streamed block."""
+    plans = []
+    for row, n in enumerate(tiles):
+        a, b = 1.0 - config.q**n, 1.0 - config.q ** (n + 1)
+        K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
+        plans.append((row, n, a, b, K, ScanGrid(a, b, config.eta, config.gamma)._points(2)))
+    budget = min(_EVAL_BLOCK, max((K * pts.size for *_, K, pts in plans), default=0))
+    groups = []
+    for plan in plans:
+        if not groups or sum(K * pts.size for *_, K, pts in groups[-1] + [plan]) > budget:
+            groups.append([])
+        groups[-1].append(plan)
+    return groups
+
+
+def _group_values(config: ExperimentConfig, group: list):
+    """(lo, values) per chunk of trials from lo, values[i] being tile group[i]
+    on its halved grid, in a buffer the next chunk overwrites: the prefix
+    xi_0..xi_K(n) of the trial's one draw, summed as `draw_sample(...).evaluate_many`
+    sums it, bit for bit, but c_1 xi_1 at x = 0 (f vanishes there; this is the
+    sign of f(x)/x as x -> 0+). A non-finite value raises EvaluationError."""
+    tables = [(_PowerTable(pts, K), config.seq.coeff(np.arange(K + 1)),
+               np.empty((pts.size, min(_CHUNK, config.trials)))) for *_, K, pts in group]
+    size = max(c.size for _, c, _ in tables)
+    for lo in range(0, config.trials, _CHUNK):
+        m = min(_CHUNK, config.trials - lo)
+        for j in range(m):
+            xi = config.law.draw(trial_rng(config.master_seed, lo + j), size)
+            for table, c, v in tables:
+                w = xi[: c.size] * c
+                v[:, j] = table.weighted_sum(w)
+                if table.xs[0] == 0.0:
+                    v[0, j] = w[1]
+        yield lo, [_finite(table.xs, v[:, :m]) for table, _, v in tables]
 
 
 def _scan(config: ExperimentConfig, tiles: range):
     """Each tile's estimate, and counts[i, t]: the zeros of trial t's series on
     tile tiles[i] from the grid's own points, plus on tile 0 the zero at x = 0
-    that every path has. Tile by tile, one table and one `vals` at a time."""
+    that every path has. One draw per trial per `_table_groups` group."""
     target = interval_target(config.gamma, config.q)
     counts = np.empty((len(tiles), config.trials), dtype=int)
-    estimates = []
-    for row, n in zip(counts, tiles):
-        a, b = 1.0 - config.q**n, 1.0 - config.q ** (n + 1)
-        vals = _interval_values(config, a, b)
-        grid = path_zero_counts(vals[::2])  # the grid's own points; vals is halved
-        row[:] = grid + (a == 0.0)
-        estimates.append(IntervalEstimate.from_counts(
-            row, target, n=n, a=a, b=b, law=config.law.value,
-            unstable_fraction=float(np.mean(path_zero_counts(vals) != grid)),
-        ))
-        del vals  # freed before the next tile's power table is built
-    return estimates, counts
+    unstable = np.zeros(len(tiles), dtype=int)
+    groups = _table_groups(config, tiles)
+    for group in groups:
+        for lo, vals in _group_values(config, group):
+            for (i, _, a, *_), v in zip(group, vals):
+                grid = path_zero_counts(v[::2])  # the grid's own points; v is halved
+                counts[i, lo : lo + grid.size] = grid + (a == 0.0)
+                unstable[i] += np.count_nonzero(path_zero_counts(v) != grid)
+        del vals, v  # freed before the next group's power tables are built
+    return [IntervalEstimate.from_counts(
+        counts[i], target, n=n, a=a, b=b, law=config.law.value,
+        unstable_fraction=float(unstable[i] / config.trials),
+    ) for group in groups for i, n, a, b, *_ in group], counts
 
 
 # jobs is ignored; bench/workloads.py SimulatePreset.jobs2_speedup passes it
@@ -328,8 +347,8 @@ def run_gaussian_oracle(
     grid = _u_grid(math.log(a), math.log(b), eta, gamma, cap=_MAX_PATH_GRID)
     sampler = PathSampler(grid, gamma)
     counts = np.concatenate([
-        path_zero_counts(sampler.draw(rng, min(_ORACLE_CHUNK, trials - lo)))
-        for lo in range(0, trials, _ORACLE_CHUNK)
+        path_zero_counts(sampler.draw(rng, min(_CHUNK, trials - lo)))
+        for lo in range(0, trials, _CHUNK)
     ])
     return GaussianOracleSummary.from_counts(counts, target, gamma=gamma, a=a, b=b, eta=eta)
 

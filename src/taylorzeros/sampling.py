@@ -9,7 +9,7 @@ scale sqrt(v(x)) the truncation then perturbs values by O(delta) at most.
 Scalar evaluation runs Horner's scheme with an error-free-transformation
 correction term (TwoSum/TwoProd with a Dekker split), giving results as if
 accumulated in roughly doubled precision. Grid evaluation sums blocked
-cumulative power tables (`_PowerTable`, built once per interval by the
+cumulative power tables (`_PowerTable`, built once per scan by the
 experiments); the two agree to ~1e-12 relative and the test suite pins that.
 
 Reproducibility: generators are counter-based (Philox) and every consumer

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import taylorzeros.experiments as experiments_mod
 import taylorzeros.sampling as sampling_mod
 from taylorzeros.experiments import (
     ExperimentConfig,
-    _interval_values,
+    _group_values,
     _scan,
+    _simulate,
+    _table_groups,
     _tiles_for,
     interval_target,
     run_cumulative,
@@ -106,9 +110,12 @@ def _tile(cfg, n):
     return 1 - cfg.q**n, 1 - cfg.q ** (n + 1)
 
 
-def _evaluate_many_columns(cfg, a, b):
-    """Trial values the slow way, one draw_sample and evaluate_many each, on
-    trial t's stream SeedSequence(master_seed, spawn_key=(t,)); and the samples."""
+def _reference_values(cfg, n):
+    """Tile n's trial values the slow way: one draw_sample at tile n's own K
+    and one evaluate_many per trial, on trial t's stream
+    SeedSequence(master_seed, spawn_key=(t,)); at x = 0 on tile 0, where every
+    path vanishes, the engine's value c_1 xi_1."""
+    a, b = _tile(cfg, n)
     policy = TruncationPolicy(b, cfg.delta)
     K = truncation_degree(cfg.seq, policy)
     pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
@@ -117,43 +124,136 @@ def _evaluate_many_columns(cfg, a, b):
                     K, policy)
         for t in range(cfg.trials)
     ]
-    return np.column_stack([s.evaluate_many(pts) for s in samples]), samples
+    ref = np.column_stack([s.evaluate_many(pts) for s in samples])
+    if n == 0:  # f(0) = 0 on every path; the engine holds c_1 xi_1 there
+        assert not ref[0].any()
+        ref[0] = [s.weights[1] for s in samples]
+    return ref
+
+
+def _engine_values(cfg, tiles):
+    """{n: tile n's values, shape (points, M)} from the grouped engine, the
+    chunks joined (each chunk copied: the next one overwrites its buffer)."""
+    out = {}
+    for group in _table_groups(cfg, tiles):
+        chunks = [[v.copy() for v in vals] for _, vals in _group_values(cfg, group)]
+        for i, (_, n, *_) in enumerate(group):
+            out[n] = np.hstack([c[i] for c in chunks])
+    return out
 
 
 @pytest.mark.parametrize("law", list(CoefficientLaw))
 @pytest.mark.parametrize("n", [0, 4, 10])
 def test_engine_matches_evaluate_many_bitwise(law, n):
+    # a scan of tiles 0..n: tiles in one table group share one draw per trial,
+    # at the group's largest K, and each must still match its own draw
     cfg = small_config(law=law, trials=6)
-    a, b = _tile(cfg, n)
-    ref, samples = _evaluate_many_columns(cfg, a, b)
-    if n == 0:  # f(0) = 0 on every path; the engine holds c_1 xi_1 there
-        assert not ref[0].any()
-        ref[0] = [s.weights[1] for s in samples]
-    assert np.array_equal(_interval_values(cfg, a, b), ref)
-    # counts on the grid's own points, plus the known zero at 0 on tile 0
-    _, counts = _scan(cfg, range(n, n + 1))
-    assert np.array_equal(counts[0], path_zero_counts(ref[::2]) + (n == 0))
+    assert n == 0 or len(_table_groups(cfg, range(n + 1))[0]) > 1
+    vals = _engine_values(cfg, range(n + 1))
+    _, counts = _scan(cfg, range(n + 1))
+    for m in range(n + 1):
+        ref = _reference_values(cfg, m)
+        assert np.array_equal(vals[m], ref)
+        # counts on the grid's own points, plus the known zero at 0 on tile 0
+        assert np.array_equal(counts[m], path_zero_counts(ref[::2]) + (m == 0))
 
 
 def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
-    # 13 points and 64-element blocks: 4 powers per block, 128 blocks at K=512
+    # 13 points and 64-element blocks: 4 powers per block, 128 blocks at K=512;
+    # tiles 0..3 share a draw at K=256
     monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", 64)
     cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=5)
-    a, b = _tile(cfg, 4)
-    vals = _interval_values(cfg, a, b)
-    assert vals.shape == (13, 5)
-    assert np.array_equal(vals, _evaluate_many_columns(cfg, a, b)[0])
+    vals = _engine_values(cfg, range(5))
+    assert vals[4].shape == (13, 5)
+    for n in range(5):
+        assert np.array_equal(vals[n], _reference_values(cfg, n))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
 def test_trial_values_do_not_depend_on_trial_count(m):
     # trial t's values are a function of t alone, so M=m is a prefix of M=14;
     # one matrix product over stacked trials fails this at m=1 and m=2
-    a, b = _tile(small_config(), 10)
-    short = _interval_values(small_config(trials=m), a, b)
-    long = _interval_values(small_config(trials=14), a, b)
-    assert np.array_equal(long[:, :m], short)
-    assert np.array_equal(path_zero_counts(long[::2])[:m], path_zero_counts(short[::2]))
+    short = _engine_values(small_config(trials=m), range(11))
+    long = _engine_values(small_config(trials=14), range(11))
+    for n in range(11):
+        assert np.array_equal(long[n][:, :m], short[n])
+        assert np.array_equal(path_zero_counts(long[n][::2])[:m],
+                              path_zero_counts(short[n][::2]))
+
+
+def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
+    # M=7 in chunks of 3, 3 and 1, against one chunk of 7: the buffers are
+    # reused across chunks and the last chunk fills only its first column
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=7)
+    vals = _engine_values(cfg, range(7))
+    ests, counts = _scan(cfg, range(7))
+    monkeypatch.setattr(experiments_mod, "_CHUNK", 3)
+    chunked = _engine_values(cfg, range(7))
+    chunked_ests, chunked_counts = _scan(cfg, range(7))
+    assert all(np.array_equal(chunked[n], vals[n]) for n in range(7))
+    assert np.array_equal(chunked_counts, counts)
+    assert [e.__dict__ for e in chunked_ests] == [e.__dict__ for e in ests]
+
+
+def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
+    # the preset's scan of tiles 0..10 has two groups, 0..9 and 10: 2M draws
+    # (one per tile and trial is 11M), and K is worked out once per tile
+    draw, degree = CoefficientLaw.draw, experiments_mod.truncation_degree
+    sizes, degrees = [], []
+
+    def counting_draw(self, rng, size):
+        sizes.append(size)
+        return draw(self, rng, size)
+
+    def counting_degree(seq, policy):
+        degrees.append(degree(seq, policy))
+        return degrees[-1]
+
+    monkeypatch.setattr(CoefficientLaw, "draw", counting_draw)
+    monkeypatch.setattr(experiments_mod, "truncation_degree", counting_degree)
+    _simulate(ExperimentConfig(gamma=1.0, trials=5))
+    assert len(degrees) == 11
+    assert sorted(sizes) == [degrees[9] + 1] * 5 + [degrees[10] + 1] * 5
+
+
+@pytest.mark.parametrize("block", [None, 4096])
+@pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
+def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
+    # a table of more than one block streams its blocks and holds one at a
+    # time, so one block caps the budget; block=4096 puts it below the deep tiles
+    if block:
+        monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", block)
+    cfg = ExperimentConfig(gamma=1.0, q=q, trials=1)
+    groups = _table_groups(cfg, range(8))
+    plans = [p for g in groups for p in g]
+    assert [p[:2] for p in plans] == list(enumerate(range(8)))  # each tile once, in order
+    for _, n, a, b, K, pts in plans:
+        assert (a, b) == _tile(cfg, n)
+        assert K == truncation_degree(cfg.seq, TruncationPolicy(b, cfg.delta))
+        assert np.array_equal(pts, ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2))
+    sizes = [[K * pts.size for *_, K, pts in g] for g in groups]
+    budget = min(max(map(max, sizes)), block or sampling_mod._EVAL_BLOCK)
+    assert all(sum(s) <= budget or len(s) == 1 for s in sizes)
+    assert all(len(s) == 1 for s in sizes if max(s) > budget)  # streamed tables alone
+    # a group is closed only when the next tile's table would not fit in it
+    assert all(sum(s) + nxt[0] > budget for s, nxt in zip(sizes, sizes[1:]))
+    assert block or len(groups) < len(plans)  # unstreamed, some tiles share a draw
+
+
+def test_simulate_peak_memory_stays_near_one_table():
+    # groups hold at most the largest table's floats: the peak reads about
+    # 1.6x the tile-10 table, and 2.7x with all eleven tables alive at once
+    cfg = ExperimentConfig(gamma=1.0, trials=50)
+    a, b = _tile(cfg, 10)
+    K = truncation_degree(cfg.seq, TruncationPolicy(b, cfg.delta))
+    table_bytes = 8 * K * ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2).size
+    tracemalloc.start()
+    try:
+        _simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table_bytes
 
 
 def test_tile_rows_do_not_depend_on_which_tiles_run():
