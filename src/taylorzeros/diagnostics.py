@@ -22,7 +22,9 @@ This module tabulates, per n,
         n^{gamma-1.25} e^{-2n}), which should stay bounded away from zero.
 
 Array length follows K(n) = ceil(40 n q^{-n}); rows whose K exceeds the
-element budget are reported as skipped rather than computed.
+element budget are reported as skipped rather than computed. A row holds two
+arrays of K+1 floats, the weights and their sorted copy, each turned into its
+tails in place; everything else runs in blocks of `_LD_BLOCK` elements.
 """
 
 from __future__ import annotations
@@ -102,13 +104,13 @@ def weights(seq: CoefficientSequence, n: int, q: float, K: int) -> WeightArray:
         raise TruncationError(
             f"K={K} keeps tail mass {tail_mass:.3e} > {_TAIL_CEILING} at n={n}"
         )
-    k = np.arange(K + 1, dtype=float)
-    k[0] = 1.0  # c_0 = 0; a_sq[0] is set below
-    a_sq = seq._log_csq(k)
-    a_sq += (2.0 * math.log1p(-(q**n))) * k
-    np.exp(a_sq, out=a_sq)
-    a_sq /= v
-    a_sq[0] = 0.0
+    log_x2 = 2.0 * math.log1p(-(q**n))
+    a_sq = np.zeros(K + 1)  # c_0 = 0; k >= 1 is filled block by block
+    for lo in range(1, K + 1, _LD_BLOCK):
+        k = np.arange(lo, min(K + 1, lo + _LD_BLOCK), dtype=float)
+        blk = seq._log_csq(k)
+        blk += log_x2 * k
+        np.divide(np.exp(blk, out=blk), v, out=a_sq[lo : lo + k.size])
     return WeightArray(a_sq=a_sq, tail_mass=tail_mass)
 
 
@@ -117,15 +119,15 @@ def rearrange(w: WeightArray) -> np.ndarray:
     return np.sort(w.a_sq)[::-1]
 
 
-def _reverse_cumsum(arr: np.ndarray) -> np.ndarray:
-    # summed from the small end, so each entry has small *relative* error
-    return np.cumsum(arr[::-1])[::-1]
+def _tails(arr: np.ndarray) -> np.ndarray:
+    """arr_k -> sum_{j>=k} arr_j, in place; summed from the small end, so each
+    entry has small *relative* error."""
+    np.cumsum(arr[::-1], out=arr[::-1])
+    return arr
 
 
 def tail_pair(w: WeightArray) -> TailPair:
-    return TailPair(
-        tilde=_reverse_cumsum(w.a_sq), sorted=_reverse_cumsum(rearrange(w))
-    )
+    return TailPair(tilde=_tails(w.a_sq.copy()), sorted=_tails(rearrange(w)))
 
 
 def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:
@@ -138,11 +140,33 @@ def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:
     best = np.longdouble(0.0)  # empty prefix
     for lo in range(0, b_sq.size, _LD_BLOCK):
         hi = min(b_sq.size, lo + _LD_BLOCK)
-        d = b_sq[lo:hi].astype(np.longdouble) - a_sq[lo:hi].astype(np.longdouble)
+        d = np.subtract(b_sq[lo:hi], a_sq[lo:hi], dtype=np.longdouble)
         np.cumsum(d, out=d)
         best = min(best, carry + d.min())
         carry = carry + d[-1]
     return float(best)
+
+
+def _corridor_ok(F, tilde, shift: int, half: int, tail_mass: float) -> bool:
+    """F_k >= Ftilde_{k+shift} (relative slack _CORRIDOR_RTOL) for k <= half;
+    past K, Ftilde is replaced by its upper bound, the certified tail mass."""
+    for lo in range(0, half + 1, _LD_BLOCK):
+        f = F[lo : min(half + 1, lo + _LD_BLOCK)] * (1.0 + _CORRIDOR_RTOL) + 1e-300
+        ft = tilde[lo + shift : lo + shift + f.size]  # short or empty past K
+        if not (np.all(f[: ft.size] >= ft) and np.all(f[ft.size :] >= tail_mass)):
+            return False
+    return True
+
+
+def _log_chat(tilde, k0: int, qn: float) -> float:
+    """max_{k >= k0} log Ftilde_k + k q^n; a zero tail gives -inf."""
+    best = -math.inf
+    with np.errstate(divide="ignore"):
+        for lo in range(k0, tilde.size, _LD_BLOCK):
+            env = np.log(tilde[lo : lo + _LD_BLOCK])
+            env += np.arange(lo, lo + env.size, dtype=float) * qn
+            best = max(best, env.max())
+    return best
 
 
 @dataclass
@@ -238,38 +262,22 @@ def check_weight_inequalities(
             )
             continue
         w = weights(seq, n, q, K)
-        b_sq = rearrange(w)
-        pair = TailPair(
-            tilde=_reverse_cumsum(w.a_sq), sorted=_reverse_cumsum(b_sq)
-        )
-        qn = q**n
+        a_sq, b_sq = w.a_sq, rearrange(w)
 
         b0_sq = float(b_sq[0])
         b0_bound = q ** (0.5 * n * min(1.0, seq.gamma))
-        norm_gap = abs(1.0 - float(w.a_sq.sum()))
-        min_gap = _min_prefix_gap(b_sq, w.a_sq)
+        norm_gap = abs(1.0 - float(a_sq.sum()))
+        min_gap = _min_prefix_gap(b_sq, a_sq)
+        # both arrays become their tails: Ftilde (natural) and F (rearranged)
+        tilde, F = _tails(a_sq), _tails(b_sq)
 
         shift = math.floor(math.sqrt(n) * q**-n)
-        half = K // 2
-        f_hi = pair.sorted[: half + 1]
-        idx = np.arange(half + 1) + shift
-        # beyond the array the tail is at most the certified tail mass;
-        # using the upper bound keeps the comparison conservative
-        ft_shifted = np.where(idx <= K, pair.tilde[np.minimum(idx, K)], w.tail_mass)
-        corridor_ok = bool(
-            np.all(f_hi * (1.0 + _CORRIDOR_RTOL) + 1e-300 >= ft_shifted)
-        )
-
-        k0 = math.ceil(n * q**-n)
-        ks = np.arange(k0, K + 1, dtype=float)
-        ft = pair.tilde[k0:]
-        with np.errstate(divide="ignore"):
-            log_env = np.where(ft > 0.0, np.log(ft) + ks * qn, -np.inf)
-        chat = float(np.exp(np.max(log_env)))
+        corridor_ok = _corridor_ok(F, tilde, shift, K // 2, w.tail_mass)
+        chat = float(np.exp(_log_chat(tilde, math.ceil(n * q**-n), q**n)))
 
         j = math.floor(n * q**-n)
         envelope = q ** (0.5 * n) * n ** (seq.gamma - 1.25) * math.exp(-2.0 * n)
-        lower_ratio = float(pair.tilde[j] / envelope) if j <= K else math.nan
+        lower_ratio = float(tilde[j] / envelope) if j <= K else math.nan
 
         rows.append(
             DiagnosticsRow(

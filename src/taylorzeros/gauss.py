@@ -12,10 +12,12 @@ for a stationary unit-variance Gaussian process gives
     E #zeros of Y per unit u = sqrt(-rho''(0)) / pi = sqrt(gamma) / (2 pi),
 
 so the expected count on [a, b] in the t coordinate is
-(sqrt(gamma)/2 pi) log(b/a). Path sampling is one dense Cholesky with
-diagonal jitter `_JITTER` (1e-12) on at most `_MAX_PATH_GRID` (1e4) points;
-the oracle's grid comes from `roots._u_grid`, the series grid rule, under
-that cap; `roots.path_zero_counts` counts the paths by the same half-open rule.
+(sqrt(gamma)/2 pi) log(b/a). Paths come from one Cholesky, with diagonal
+jitter `_JITTER` (1e-12), of the Toeplitz covariance of an equally spaced grid
+of at most `_MAX_PATH_GRID` (1e4) points, read from its n lags with no n x n
+copy; L z is formed block by block below the diagonal. The oracle's grid
+comes from `roots._u_grid`, the series grid rule, under that cap;
+`roots.path_zero_counts` counts the paths by the same half-open rule.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coeffs import _check_gamma
 
@@ -38,6 +41,7 @@ __all__ = [
 
 _MAX_PATH_GRID = 10_000
 _JITTER = 1e-12
+_DRAW_BLOCK = 256
 
 
 class CovarianceConditioningError(RuntimeError):
@@ -96,12 +100,13 @@ def expected_zeros_rice(a: float, b: float, gamma: float) -> float:
 
 
 class PathSampler:
-    """Exact sampler for Y on a fixed u-grid via dense Cholesky.
+    """Exact sampler for Y on an equally spaced u-grid via Cholesky.
 
-    `_JITTER` is added in place to the unit diagonal (so it is relative)
-    before the one factorization, which at the oracle's grid steps nearly
-    always fails without it; `self.jitter` records it. A failure raises
-    CovarianceConditioningError.
+    Any other grid raises ValueError. The covariance is a read-only Toeplitz
+    view of the lags rho(u_k - u_0); `_JITTER` is added to the lag-0 value,
+    the unit diagonal (so it is relative), before the one factorization,
+    which at the oracle's grid steps nearly always fails without it;
+    `self.jitter` records it. A failure raises CovarianceConditioningError.
     """
 
     def __init__(self, u, gamma: float):
@@ -113,10 +118,15 @@ class PathSampler:
             raise ValueError(f"grid of {u.size} points exceeds {_MAX_PATH_GRID}")
         if u.size > 1 and not np.all(np.diff(u) > 0.0):
             raise ValueError("grid must be strictly increasing")
+        h = (u[-1] - u[0]) / max(u.size - 1, 1)
+        if not np.allclose(u, u[0] + h * np.arange(u.size), rtol=1e-14, atol=1e-9 * h):
+            raise ValueError("grid must be equally spaced")
         self.u = u
         self.gamma = gamma
-        cov = cov_y(u[:, None] - u[None, :], gamma)
-        cov.flat[:: u.size + 1] += _JITTER
+        r = cov_y(u - u[0], gamma)
+        r[0] += _JITTER
+        # row i of the reversed windows is r_{|j - i|}, j = 0..n-1
+        cov = sliding_window_view(np.concatenate((r[:0:-1], r)), u.size)[::-1]
         try:
             self._chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -127,8 +137,14 @@ class PathSampler:
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """(npoints, m) array of independent paths, drawn from `rng`;
-        `draw(sampling.trial_rng(seed), m)` is deterministic in (grid, gamma, seed, m)."""
+        `draw(sampling.trial_rng(seed), m)` is deterministic in (grid, gamma, seed, m).
+        L z goes by row blocks of `_DRAW_BLOCK`, each block against the columns
+        up to its last row: half the flops of the dense product."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        return self._chol @ rng.standard_normal((self.u.size, m))
-
+        z = rng.standard_normal((self.u.size, m))
+        out = np.empty_like(z)
+        for lo in range(0, self.u.size, _DRAW_BLOCK):
+            hi = min(self.u.size, lo + _DRAW_BLOCK)
+            np.matmul(self._chol[lo:hi, :hi], z[:hi], out=out[lo:hi])
+        return out

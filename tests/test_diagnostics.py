@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from taylorzeros.coeffs import CoefficientSequence
+import diagnostics_reference
+from taylorzeros.coeffs import PRESETS, CoefficientSequence
 from taylorzeros.diagnostics import (
     TruncationError,
     check_weight_inequalities,
@@ -111,3 +114,31 @@ class TestInequalityReport:
         w = weights(FLAT, 4, 0.5, K_for(4))
         assert row.b0_sq == pytest.approx(w.a_sq[1], rel=1e-12)
         assert row.max_sorted_excess <= 1e-12
+
+
+def _fields(report):
+    # repr round-trips a float exactly and tells -0.0 and nan apart
+    return [[repr(v) for v in dataclasses.astuple(r)] for r in report.rows]
+
+
+@pytest.mark.parametrize("seq", PRESETS, ids=range(len(PRESETS)))
+@pytest.mark.parametrize("q", [0.5, 0.7])
+def test_rows_match_the_full_array_reference_bitwise(q, seq):
+    # n = 11, 12 at q=0.5 (K = 0.9M, 2.0M) span one and two blocks of _LD_BLOCK
+    got = check_weight_inequalities(seq, q, range(1, 13))
+    want = diagnostics_reference.check_weight_inequalities(seq, q, range(1, 13))
+    assert _fields(got) == _fields(want)
+
+
+def test_row_memory_is_two_arrays_plus_blocks():
+    # n=13: K = 4.26M. The row holds the weights and their sorted copy, each
+    # turned into its tails in place, plus blocks of _LD_BLOCK; the
+    # full-array reference peaks at about eight arrays of K+1 floats
+    tracemalloc.start()
+    try:
+        row = check_weight_inequalities(FLAT, 0.5, [13]).rows[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.sorted_dominated and row.corridor_ok
+    assert peak <= 2 * 8 * (row.K + 1) + 64 * 2**20

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from taylorzeros import experiments
 from taylorzeros.gauss import (
+    _MAX_PATH_GRID,
     CovarianceConditioningError,
     PathSampler,
     cov_y,
@@ -13,7 +15,7 @@ from taylorzeros.gauss import (
     rho_second_derivative,
     rho_second_derivative_fd,
 )
-from taylorzeros.roots import path_zero_counts
+from taylorzeros.roots import _u_grid, path_zero_counts
 from taylorzeros.sampling import trial_rng
 
 TWO_PI = 2.0 * math.pi
@@ -122,10 +124,23 @@ class TestPathSampler:
         assert np.all(np.abs(emp - want) < 5.0 * stderr + s.jitter)
 
     def test_near_duplicates_factorize_at_the_fixed_jitter(self):
-        u = np.concatenate([np.linspace(0.0, 1.0, 50), [1.0 + 1e-9]])
-        s = PathSampler(u, 1.0)
-        assert s.jitter == 1e-12
-        assert np.all(np.isfinite(s.draw(trial_rng(0), 1)))
+        # 51 points within 1e-9: every entry of the covariance is 1 to ~1e-19
+        for gamma in (0.5, 1.0, 4.0):
+            s = PathSampler(np.linspace(0.0, 1e-9, 51), gamma)
+            assert s.jitter == 1e-12
+            assert np.all(np.isfinite(s.draw(trial_rng(0), 1)))
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.concatenate([np.linspace(0.0, 1.0, 50), [1.0 + 1e-9]]),
+            np.array([0.0, 1.0, 3.0]),
+            np.log(np.linspace(1.0, 10.0, 20)),
+        ],
+    )
+    def test_unequally_spaced_grid_raises(self, u):
+        with pytest.raises(ValueError, match="equally spaced"):
+            PathSampler(u, 1.0)
 
     def test_one_factorization_per_sampler(self, monkeypatch):
         shapes, cholesky = [], np.linalg.cholesky
@@ -141,23 +156,57 @@ class TestPathSampler:
 
     def test_oracle_grids_factorize_at_the_fixed_jitter(self, monkeypatch):
         # the grids run_gaussian_oracle builds; without the jitter Cholesky
-        # fails on nearly all of them
-        built = []
+        # fails on nearly all of them. The matrix built from the lags is the
+        # dense covariance of all pairwise differences to within 1e-14.
+        built, gaps, cholesky = [], [], np.linalg.cholesky
 
         class Recording(PathSampler):
             def __init__(self, u, gamma):
                 super().__init__(u, gamma)
                 built.append(self)
 
+        def spy(a):
+            u, gamma = spy.grid
+            dense = cov_y(u[:, None] - u[None, :], gamma)
+            dense.flat[:: u.size + 1] += 1e-12
+            gaps.append(np.max(np.abs(a - dense)))
+            return cholesky(a)
+
         monkeypatch.setattr(experiments, "PathSampler", Recording)
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
         windows = [(g, eta, 1) for g in (0.5, 1.0, 2.0, 4.0) for eta in (0.02, 0.01)]
         windows += [(g, 0.02, 20) for g in (0.5, 1.0, 2.0)]
         for gamma, eta, periods in windows:
             b = math.exp(periods * TWO_PI)
+            spy.grid = (_u_grid(0.0, math.log(b), eta, gamma, cap=_MAX_PATH_GRID), gamma)
             experiments.run_gaussian_oracle(gamma, 1.0, b, trials=1, eta=eta)
-        assert len(built) == len(windows)
+            assert np.array_equal(built[-1].u, spy.grid[0])
+        assert len(built) == len(windows) == len(gaps)
         assert all(s.jitter == 1e-12 for s in built)
         assert max(s.u.size for s in built) == 1416
+        assert max(gaps) < 1e-14
+
+    def test_blocked_draw_matches_the_dense_product(self):
+        # 1001 points: three full row blocks of 256 and a partial one
+        s = PathSampler(np.linspace(0.0, 20.0 * math.pi, 1001), 1.0)
+        got = s.draw(trial_rng(3), 50)
+        want = s._chol @ trial_rng(3).standard_normal((s.u.size, 50))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(path_zero_counts(got), path_zero_counts(want))
+
+    def test_sampler_builds_no_dense_covariance(self):
+        # the benchmark's oracle grid, [0, 40 pi] at eta=0.005: 4001 points.
+        # The factor is the one n x n array; the dense covariance built from
+        # pairwise differences peaked at 4x that.
+        u = _u_grid(0.0, 40.0 * math.pi, 0.005, 1.0, cap=_MAX_PATH_GRID)
+        assert u.size == 4001
+        tracemalloc.start()
+        try:
+            PathSampler(u, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * u.size**2
 
     def test_failed_factorization_names_the_jitter(self, monkeypatch):
         def fail(a):
