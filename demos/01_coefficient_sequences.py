@@ -7,6 +7,8 @@ series at x is v(x) = sum c_k^2 x^(2k).  As x -> 1 with a = 1 - x, v(1-a)
 behaves like (2a)^(-gamma) L(1/a).
 """
 
+import math
+
 import numpy as np
 
 from taylorzeros import CoefficientSequence, Constant, LogPower, LogLog
@@ -33,7 +35,8 @@ a_grid = (1e-1, 1e-2, 1e-3, 1e-4)
 header = "  ".join(f"a={a:<8g}" for a in a_grid)
 print(f"{'family':28s}  {header}")
 for name, s in families:
-    ratios = [s.variance_v(1.0 - a) / s.abel_asymptote(a) for a in a_grid]
+    ratios = [math.exp(s.log_variance_v(1.0 - a) - s.log_abel_asymptote(a))
+              for a in a_grid]
     print(f"{name:28s}  " + "  ".join(f"{r:<10.6f}" for r in ratios))
 
 # the largest single weight share c_n^2 x^(2n) / v(x) at x = 1 - 1/n decays,

@@ -7,6 +7,8 @@ chosen so the dropped tail is below delta * sqrt(v(r_max)) everywhere on
 [0, r_max], using a certified geometric tail bound.
 """
 
+import math
+
 import numpy as np
 
 from taylorzeros import (
@@ -40,9 +42,9 @@ for x, val in zip(xs, sample.evaluate_many(xs)):
 x = 0.97
 vals = np.array([
     draw_sample(seq, CoefficientLaw.RADEMACHER, (1000 + i), K, policy=policy)
-    .evaluate_normalized(x)
+    .evaluate_many(x)[0]
     for i in range(2000)
-])
+]) / math.sqrt(seq.variance_v(x))
 print()
 print(f"normalized value at x={x} over 2000 seeds:")
 print(f"  mean {vals.mean():+.4f} (expect ~0),  var {vals.var():.4f} (expect ~1)")

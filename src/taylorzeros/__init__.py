@@ -13,7 +13,7 @@ reproducible Monte Carlo experiments with CSV/JSON reporting
 
 __version__ = "0.1.0"
 
-from .coeffs import Constant, LogPower, LogLog, CoefficientSequence, PRESETS
+from .coeffs import Constant, LogPower, LogLog, CoefficientSequence
 from .sampling import (
     CoefficientLaw,
     TruncationPolicy,
@@ -29,7 +29,6 @@ from .roots import (
     exact_count_small,
     locate_zeros,
     path_zero_counts,
-    rice_density,
 )
 from .gauss import (
     PathSampler,
@@ -42,7 +41,6 @@ from .diagnostics import (
     DiagnosticsReport,
     check_weight_inequalities,
     rearrange,
-    tail_pair,
     weights,
 )
 from .experiments import (
@@ -64,7 +62,6 @@ __all__ = [
     "LogPower",
     "LogLog",
     "CoefficientSequence",
-    "PRESETS",
     "CoefficientLaw",
     "TruncationPolicy",
     "SeriesSample",
@@ -76,7 +73,6 @@ __all__ = [
     "count_zeros",
     "exact_count_small",
     "locate_zeros",
-    "rice_density",
     "PathSampler",
     "cov_y",
     "cov_z",
@@ -86,7 +82,6 @@ __all__ = [
     "DiagnosticsReport",
     "check_weight_inequalities",
     "rearrange",
-    "tail_pair",
     "weights",
     "ExperimentConfig",
     "GaussianOracleSummary",

@@ -25,6 +25,7 @@ uniform. Slow-variation specs: `const`, `const:C`, `logpow:B`, `loglog`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -215,7 +216,7 @@ def _cmd_abel_check(args) -> int:
     print(f"variance vs asymptote, gamma={args.gamma:g}, slow={args.slow}:")
     gaps = []
     for a in a_list:
-        ratio = seq.variance_v(1.0 - a) / seq.abel_asymptote(a)
+        ratio = math.exp(seq.log_variance_v(1.0 - a) - seq.log_abel_asymptote(a))
         gaps.append(abs(ratio - 1.0))
         print(f"  a={a:<10g} ratio={ratio:.8f}  |ratio-1|={gaps[-1]:.3e}")
     if len(a_list) == 1:

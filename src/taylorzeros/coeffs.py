@@ -32,7 +32,6 @@ __all__ = [
     "LogPower",
     "LogLog",
     "CoefficientSequence",
-    "PRESETS",
 ]
 
 _BLOCK = 1 << 16
@@ -170,46 +169,63 @@ class CoefficientSequence:
             raise ValueError(f"x must be in [0, 1), got {x}")
         if K < 1:
             raise ValueError("tail bound needs K >= 1")
+        return self._scaled_tail_bound(x, K, 0.0)
+
+    def _scaled_tail_bound(self, x: float, K: int, log_scale: float) -> float:
+        """tail_bound(x, K) times e^(-log_scale), finite wherever that fits a float."""
         rho = self.ratio_cap(K) * x * x
         if rho > 0.5 * (1.0 + x * x):
             return math.inf
-        # c_K^2 = 2^j e^r: x^(2K) keeps the accuracy of pow, and no factor overflows
-        j, r = divmod(float(self._log_csq(float(K))), math.log(2.0))
+        # c_K^2 e^(-log_scale) = 2^j e^r: x^(2K) keeps the accuracy of pow, and
+        # no factor overflows
+        j, r = divmod(float(self._log_csq(float(K))) - log_scale, math.log(2.0))
         t_K = float(np.ldexp(math.exp(r) * x ** (2.0 * K), int(j)))
         return t_K * rho / (1.0 - rho)
 
-    def variance_v(self, x: float, rel_tol: float = 1e-12) -> float:
-        """v(x) = sum_k c_k^2 x^{2k} with certified relative truncation error.
+    def log_variance_v(self, x: float, rel_tol: float = 1e-12) -> float:
+        """log v(x), v(x) = sum_k c_k^2 x^{2k}, with certified relative
+        truncation error; -inf at x = 0.
 
-        Sums in blocks of 64 terms doubling up to _BLOCK, and stops once the
-        geometric tail bound is below rel_tol times the partial sum; 0 <= x < 1.
-        Raises OverflowError when the sum does not fit in a float.
+        Sums in blocks of 64 terms doubling up to _BLOCK, each scaled by the
+        largest log term so far, so the sum stays finite where v(x) does not
+        fit in a float; stops once the geometric tail bound is below rel_tol
+        times the partial sum. Requires 0 <= x < 1.
         """
         if not (0.0 <= x < 1.0):
             raise ValueError(f"variance_v needs x in [0, 1), got {x}")
         if not (rel_tol > 0):
             raise ValueError("rel_tol must be positive")
         if x == 0.0:
-            return 0.0
-        total, log_x2 = 0.0, 2.0 * math.log(x)
+            return -math.inf
+        total, scale, log_x2 = 0.0, -math.inf, 2.0 * math.log(x)
         lo, size = 1, 64
         while lo < _MAX_TERMS:
             hi = lo + size
             k = np.arange(lo, hi, dtype=float)
-            with np.errstate(over="ignore"):
-                total += float(np.sum(np.exp(self._log_csq(k) + log_x2 * k)))
-            if not math.isfinite(total):
-                raise OverflowError(f"v(x) overflows a float at x={x}, gamma={self.gamma}")
-            lo, size = hi, min(2 * size, _BLOCK)
-            if self.tail_bound(x, hi - 1) <= rel_tol * total:
-                return total
+            t = self._log_csq(k)
+            t += log_x2 * k
+            top = max(scale, float(t.max()))
+            t -= top
+            total = total * math.exp(scale - top) + float(np.sum(np.exp(t, out=t)))
+            scale, lo, size = top, hi, min(2 * size, _BLOCK)
+            if self._scaled_tail_bound(x, hi - 1, scale) <= rel_tol * total:
+                return scale + math.log(total)
         raise RuntimeError(f"variance_v did not converge at x={x}")
 
-    def abel_asymptote(self, a: float) -> float:
-        """(2a)^(-gamma) L(1/a), the leading term of v(1-a) as a -> 0+."""
+    def variance_v(self, x: float, rel_tol: float = 1e-12) -> float:
+        """v(x) = exp(log_variance_v(x, rel_tol)); raises OverflowError when v(x)
+        does not fit in a float."""
+        try:
+            return math.exp(self.log_variance_v(x, rel_tol))
+        except OverflowError:
+            msg = f"v(x) overflows a float at x={x}, gamma={self.gamma}"
+            raise OverflowError(msg) from None
+
+    def log_abel_asymptote(self, a: float) -> float:
+        """log of (2a)^(-gamma) L(1/a), the leading term of v(1-a) as a -> 0+."""
         if not (0.0 < a < 1.0):
-            raise ValueError(f"abel_asymptote needs a in (0, 1), got {a}")
-        return (2.0 * a) ** (-self.gamma) * float(self.slow(1.0 / a))
+            raise ValueError(f"the Abel asymptote needs a in (0, 1), got {a}")
+        return -self.gamma * math.log(2.0 * a) + math.log(float(self.slow(1.0 / a)))
 
     def max_share(self, n: int) -> float:
         """max_{k <= n} c_k^2 / sum_{k <= n} c_k^2, the top weight share.
@@ -222,14 +238,3 @@ class CoefficientSequence:
             raise ValueError("max_share needs n >= 1")
         w = self.csq(np.arange(0, n + 1))
         return float(np.max(w) / np.sum(w))
-
-
-#: Coefficient families exercised throughout the test suite.
-PRESETS = (
-    CoefficientSequence(0.5),
-    CoefficientSequence(1.0),
-    CoefficientSequence(2.0),
-    CoefficientSequence(1.0, LogPower(1.0)),
-    CoefficientSequence(2.0, LogPower(-0.5)),
-    CoefficientSequence(1.0, LogLog()),
-)

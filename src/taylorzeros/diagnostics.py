@@ -39,12 +39,10 @@ from .coeffs import CoefficientSequence
 __all__ = [
     "TruncationError",
     "WeightArray",
-    "TailPair",
     "DiagnosticsRow",
     "DiagnosticsReport",
     "weights",
     "rearrange",
-    "tail_pair",
     "check_weight_inequalities",
 ]
 
@@ -56,8 +54,9 @@ _BUDGET = 50_000_000
 _LD_BLOCK = 1 << 20
 
 
-class TruncationError(ValueError):
-    """The requested K leaves more than the allowed tail mass uncaptured."""
+class TruncationError(RuntimeError):
+    """The requested K leaves more than the allowed tail mass uncaptured: a
+    runtime limit on valid input (the fixed K(n) rule falls short)."""
 
 
 @dataclass
@@ -66,14 +65,6 @@ class WeightArray:
 
     a_sq: np.ndarray = field(repr=False)
     tail_mass: float
-
-
-@dataclass
-class TailPair:
-    """Ftilde (natural-order tails) and F (rearranged tails), k = 0..K."""
-
-    tilde: np.ndarray
-    sorted: np.ndarray
 
 
 def _check_q(q: float):
@@ -124,10 +115,6 @@ def _tails(arr: np.ndarray) -> np.ndarray:
     entry has small *relative* error."""
     np.cumsum(arr[::-1], out=arr[::-1])
     return arr
-
-
-def tail_pair(w: WeightArray) -> TailPair:
-    return TailPair(tilde=_tails(w.a_sq.copy()), sorted=_tails(rearrange(w)))
 
 
 def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:

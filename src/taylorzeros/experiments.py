@@ -199,15 +199,6 @@ class UniversalityReport:
     estimates: dict  # law value -> list[IntervalEstimate]
     pairs: list  # dicts: law_a, law_b, n, mean_diff, combined_stderr
 
-    def to_dict(self) -> dict:
-        return {
-            "laws": self.laws,
-            "estimates": {
-                law: [e.to_dict() for e in ests] for law, ests in self.estimates.items()
-            },
-            "pairs": self.pairs,
-        }
-
 
 def _table_groups(config: ExperimentConfig, tiles: range) -> list:
     """The tiles as (row, n, a, b, K, halved grid) in runs of consecutive tiles

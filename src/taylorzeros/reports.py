@@ -49,7 +49,7 @@ INTERVAL_CSV_COLUMNS = [
 
 CUMULATIVE_CSV_COLUMNS = ["r", "u", "cum_mean", "cum_stderr"]
 
-_REPORT_KINDS = ("simulate", "gauss-oracle", "universality")
+_REPORT_KINDS = ("simulate", "gauss-oracle")
 
 
 def _cell(v) -> str:
@@ -105,7 +105,6 @@ def build_report(
     intervals=None,
     slope=None,
     oracle=None,
-    universality=None,
 ) -> dict:
     """Assemble the versioned JSON report mirroring config and results."""
     if kind not in _REPORT_KINDS:
@@ -117,8 +116,6 @@ def build_report(
         report["slope"] = slope.to_dict()
     if oracle is not None:
         report["oracle"] = oracle.to_dict()
-    if universality is not None:
-        report["universality"] = universality.to_dict()
     return report
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "exact_count_small",
     "locate_zeros",
     "path_zero_counts",
-    "rice_density",
 ]
 
 _MAX_GRID = 100_000_000
@@ -185,20 +184,6 @@ def locate_zeros(fn, grid: ScanGrid) -> np.ndarray:
         else:
             locs[j] = _refine(fn, float(pts[i]), float(pts[i + 1]), vals[i] > 0.0, tol)
     return locs
-
-
-def rice_density(x, gamma: float):
-    """Expected zeros per unit x for the limit process: sqrt(gamma)/(2 pi (1-x)).
-
-    Integrating from 0 to r gives (sqrt(gamma)/2 pi) * log(1/(1-r)), the
-    leading-order expected count on [0, r]. Accepts 0 <= x < 1.
-    """
-    _check_gamma(gamma)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa >= 1.0):
-        raise ValueError("rice_density needs 0 <= x < 1")
-    out = math.sqrt(gamma) / (2.0 * math.pi * (1.0 - xa))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ discarded variance mass sum_{k>K} c_k^2 r^{2k} stays below delta^2 * v(r) up
 to the largest radius r that will ever be evaluated; relative to the series
 scale sqrt(v(x)) the truncation then perturbs values by O(delta) at most.
 
-Scalar evaluation runs Horner's scheme with an error-free-transformation
-correction term (TwoSum/TwoProd with a Dekker split), giving results as if
-accumulated in roughly doubled precision. Grid evaluation sums blocked
-cumulative power tables (`_PowerTable`, built once per scan by the
-experiments); the two agree to ~1e-12 relative and the test suite pins that.
+Evaluation has one path: `SeriesSample.evaluate_many` sums blocked
+cumulative power tables (`_PowerTable`, which the experiments build once per
+scan). The tests pin it against a compensated Horner reference
+(tests/horner_reference.py) on every coefficient family they use.
 
 Reproducibility: generators are counter-based (Philox) and every consumer
 in the package gets them from `trial_rng`, the one seed derivation, so a
@@ -38,7 +37,6 @@ __all__ = [
     "draw_sample",
 ]
 
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter for float64
 _EVAL_BLOCK = 1 << 24  # elements per cumulative-power block
 _K_CAP = 1 << 31
 
@@ -111,41 +109,11 @@ def truncation_degree(seq: CoefficientSequence, policy: TruncationPolicy) -> int
     )
 
 
-def _two_sum(a: float, b: float):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    a1 = a * _SPLIT
-    ah = a1 - (a1 - a)
-    al = a - ah
-    b1 = b * _SPLIT
-    bh = b1 - (b1 - b)
-    bl = b - bh
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
-def _comp_horner(w: np.ndarray, x: float) -> float:
-    """Horner evaluation of sum w_k x^k with a running error compensation."""
-    s = float(w[-1])
-    comp = 0.0
-    for k in range(len(w) - 2, -1, -1):
-        p, perr = _two_prod(s, x)
-        s, serr = _two_sum(p, float(w[k]))
-        comp = comp * x + (perr + serr)
-    return s + comp
-
-
 @dataclass(eq=False)
 class SeriesSample:
     """One realized truncated series, with its evaluation weights cached."""
 
     seq: CoefficientSequence
-    law: CoefficientLaw
-    seed: object
     xi: np.ndarray
     policy: TruncationPolicy | None = None
     weights: np.ndarray = field(init=False, repr=False)
@@ -160,23 +128,6 @@ class SeriesSample:
     def K(self) -> int:
         return self.xi.size - 1
 
-    def _check_domain(self, x: np.ndarray):
-        if np.any(x < 0.0):
-            raise ValueError("evaluation points must be >= 0")
-        if self.policy is not None:
-            if np.any(x > self.policy.r_max):
-                raise ValueError(
-                    f"evaluation past truncation radius r_max={self.policy.r_max}"
-                )
-        elif np.any(x >= 1.0):
-            raise ValueError("series diverges at x >= 1")
-
-    def evaluate(self, x: float) -> float:
-        """f(x) by compensated Horner."""
-        xv = np.asarray(float(x))
-        self._check_domain(xv)
-        return _comp_horner(self.weights, float(x))
-
     def evaluate_many(self, xs) -> np.ndarray:
         """f at an array of points, via blocked cumulative power tables.
 
@@ -185,15 +136,13 @@ class SeriesSample:
         the last bits with the other points in the same call.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        self._check_domain(xs)
+        if np.any(xs < 0.0):
+            raise ValueError("evaluation points must be >= 0")
+        if self.policy is None and np.any(xs >= 1.0):
+            raise ValueError("series diverges at x >= 1")
+        if self.policy is not None and np.any(xs > self.policy.r_max):
+            raise ValueError(f"evaluation past truncation radius r_max={self.policy.r_max}")
         return _PowerTable(xs, self.K).weighted_sum(self.weights)
-
-    def evaluate_normalized(self, x: float) -> float:
-        """f(x) / sqrt(v(x)); the normalized value has unit variance."""
-        v = self.seq.variance_v(float(x))
-        if v <= 0.0:
-            raise ValueError(f"variance vanishes at x={x}; cannot normalize")
-        return self.evaluate(x) / math.sqrt(v)
 
 
 class _PowerTable:
@@ -239,4 +188,4 @@ def draw_sample(
     if K < 0:
         raise ValueError("K must be >= 0")
     xi = law.draw(trial_rng(seed), K + 1)
-    return SeriesSample(seq=seq, law=law, seed=seed, xi=xi, policy=policy)
+    return SeriesSample(seq=seq, xi=xi, policy=policy)

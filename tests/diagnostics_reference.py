@@ -6,10 +6,12 @@ element by element, but holds its intermediates as whole arrays of K+1
 floats: the weights and their index array, both tail arrays beside the
 weights, and the corridor's and envelope's index, `arange` and `np.where`
 arrays (about eight arrays per row, 274 MB at n=13). It is kept only to pin
-the rows of the blocked package version, bit for bit.
+the rows of the blocked package version, bit for bit. `tail_pair` gives both
+tail arrays of one weight array, for the tests of the tails themselves.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from taylorzeros.diagnostics import (
     _TAIL_CEILING,
     DiagnosticsReport,
     DiagnosticsRow,
-    TailPair,
     TruncationError,
     WeightArray,
     _validate_nq,
@@ -65,6 +66,18 @@ def rearrange(w: WeightArray) -> np.ndarray:
 def _reverse_cumsum(arr: np.ndarray) -> np.ndarray:
     # summed from the small end, so each entry has small *relative* error
     return np.cumsum(arr[::-1])[::-1]
+
+
+@dataclass
+class TailPair:
+    """Ftilde (natural-order tails) and F (rearranged tails), k = 0..K."""
+
+    tilde: np.ndarray
+    sorted: np.ndarray
+
+
+def tail_pair(w: WeightArray) -> TailPair:
+    return TailPair(tilde=_reverse_cumsum(w.a_sq), sorted=_reverse_cumsum(rearrange(w)))
 
 
 def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:

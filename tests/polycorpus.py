@@ -1,7 +1,19 @@
-"""Polynomial test corpora: planted well-separated roots, and random
-coefficients for cross-checking the grid counter against the exact oracle."""
+"""Test corpora: polynomials with planted well-separated roots, random
+coefficients for cross-checking the grid counter against the exact oracle,
+and the coefficient families (`PRESETS`) the suite runs its checks on."""
 
 import numpy as np
+
+from taylorzeros.coeffs import CoefficientSequence, LogLog, LogPower
+
+PRESETS = (
+    CoefficientSequence(0.5),
+    CoefficientSequence(1.0),
+    CoefficientSequence(2.0),
+    CoefficientSequence(1.0, LogPower(1.0)),
+    CoefficientSequence(2.0, LogPower(-0.5)),
+    CoefficientSequence(1.0, LogLog()),
+)
 
 SCAN_INTERVAL = (0.1, 0.9)
 PLANT_LO, PLANT_HI = 0.12, 0.88  # keep a margin from the scan endpoints

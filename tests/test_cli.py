@@ -245,6 +245,13 @@ def test_diagnostics_validation_exits_2(argv):
     assert main(argv) == 2
 
 
+def test_diagnostics_undersized_K_is_runtime_failure(capsys):
+    # valid input; the fixed K(n) = ceil(40 n q^-n) leaves too much tail at gamma=60
+    assert main(["diagnostics", "--gamma", "60", "--n-min", "1", "--n-max", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: K=80 keeps tail mass")
+
+
 def test_diagnostics_large_gamma_exits_0(capsys):
     # c_k^2 overflows a float at gamma=150, n=6, 7; the weights do not, so
     # the exact invariants hold (exit 0) and no row reads inf or nan
@@ -300,16 +307,22 @@ def test_abel_check_large_gamma_gives_finite_ratios(capsys):
 )
 def test_overflowing_variance_is_runtime_failure(argv):
     # a fresh interpreter shows what a user sees: the exit code, no traceback,
-    # and no numpy RuntimeWarning (which -W error turns into a traceback)
+    # and no numpy RuntimeWarning (which -W error turns into a traceback).
+    # abel-check works with log v, so it gets through; diagnostics needs v itself
     src = str(Path(taylorzeros.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "taylorzeros", *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("runtime failure: v(x) overflows a float")
     assert "Traceback" not in proc.stderr
+    if argv[0] == "abel-check":
+        assert proc.returncode == 0, proc.stderr
+        ratios = [float(s.split()[0]) for s in proc.stdout.split("ratio=")[1:]]
+        assert len(ratios) == 4 and all(math.isfinite(r) and r > 0.0 for r in ratios)
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("runtime failure: v(x) overflows a float")
 
 
 # ------------------------------------------------------------------ shell

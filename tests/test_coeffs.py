@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from polycorpus import PRESETS
 from taylorzeros.coeffs import (
     Constant,
     LogPower,
     LogLog,
     CoefficientSequence,
-    PRESETS,
 )
 
 
@@ -73,9 +73,14 @@ class TestVariance:
         assert CoefficientSequence(1.0).variance_v(0.0) == 0.0
 
     def test_overflow_raises(self):
-        # v(1-2^-9) ~ 2^(8*150) does not fit in a float; no numpy warning escapes
+        # v(1-2^-9) ~ 2^(8*150) does not fit in a float; no numpy warning escapes.
+        # Its logarithm does, and matches a brute-force log-sum-exp
+        seq, x = CoefficientSequence(150.0), 1.0 - 2.0**-9
         with pytest.raises(OverflowError, match=r"x=0\.998046875, gamma=150\.0"):
-            CoefficientSequence(150.0).variance_v(1.0 - 2.0**-9)
+            seq.variance_v(x)
+        k = np.arange(1.0, 400_000.0)
+        brute = float(np.logaddexp.reduce(seq._log_csq(k) + 2.0 * math.log(x) * k))
+        assert seq.log_variance_v(x) == pytest.approx(brute, rel=1e-13)
 
     def test_geometric_closed_form(self):
         seq = CoefficientSequence(1.0)
@@ -118,14 +123,14 @@ class TestVariance:
 
 class TestAbel:
     def test_frozen_values(self):
-        assert CoefficientSequence(1.0).abel_asymptote(1e-3) == pytest.approx(
-            500.0, rel=1e-12
+        assert CoefficientSequence(1.0).log_abel_asymptote(1e-3) == pytest.approx(
+            math.log(500.0), rel=1e-12
         )
-        assert CoefficientSequence(2.0).abel_asymptote(1e-2) == pytest.approx(
-            2500.0, rel=1e-12
+        assert CoefficientSequence(2.0).log_abel_asymptote(1e-2) == pytest.approx(
+            math.log(2500.0), rel=1e-12
         )
-        got = CoefficientSequence(1.0, LogPower(1.0)).abel_asymptote(1e-4)
-        assert got == pytest.approx(5000.0 * (1.0 + math.log(1e4)), rel=1e-12)
+        got = CoefficientSequence(1.0, LogPower(1.0)).log_abel_asymptote(1e-4)
+        assert got == pytest.approx(math.log(5000.0 * (1.0 + math.log(1e4))), rel=1e-12)
 
     def test_ratio_near_one_and_monotone(self):
         # v(1-a) / ((2a)^(-gamma) L(1/a)) must approach 1 from one side as
@@ -134,7 +139,7 @@ class TestAbel:
             seq = CoefficientSequence(gamma)
             gaps = []
             for a in (1e-1, 1e-2, 1e-3, 1e-4):
-                ratio = seq.variance_v(1.0 - a) / seq.abel_asymptote(a)
+                ratio = math.exp(seq.log_variance_v(1.0 - a) - seq.log_abel_asymptote(a))
                 gaps.append(abs(ratio - 1.0))
             assert gaps[-1] < 0.02, f"gamma={gamma}: ratio gap {gaps[-1]}"
             assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:])), (gamma, gaps)
@@ -143,7 +148,7 @@ class TestAbel:
         seq = CoefficientSequence(1.0)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                seq.abel_asymptote(bad)
+                seq.log_abel_asymptote(bad)
 
 
 class TestMaxShare:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import diagnostics_reference
-from taylorzeros.coeffs import PRESETS, CoefficientSequence
+from diagnostics_reference import tail_pair
+from polycorpus import PRESETS
+from taylorzeros.coeffs import CoefficientSequence
 from taylorzeros.diagnostics import (
     TruncationError,
     check_weight_inequalities,
     rearrange,
-    tail_pair,
     weights,
 )
 

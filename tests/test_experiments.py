@@ -476,5 +476,4 @@ def test_universality_pair_structure():
     for p in rep.pairs:
         assert p["n"] == 6
         assert math.isfinite(p["mean_diff"]) and p["combined_stderr"] > 0
-    d = rep.to_dict()
-    assert set(d["estimates"]) == {"rademacher", "gaussian", "uniform"}
+    assert set(rep.estimates) == {"rademacher", "gaussian", "uniform"}

@@ -13,7 +13,6 @@ from taylorzeros.roots import (
     exact_count_small,
     locate_zeros,
     path_zero_counts,
-    rice_density,
 )
 from polycorpus import (
     SCAN_INTERVAL,
@@ -336,34 +335,3 @@ class TestExactCountRealSamples:
                     else:
                         assert mismatch_attributable(w, (grid.a, grid.b), 0.02), (law, n, t)
         assert total == 100 and agree >= 99
-
-
-class TestRiceDensity:
-    def test_frozen_values(self):
-        assert rice_density(0.0, 1.0) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
-        assert rice_density(0.5, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-
-    def test_sqrt_gamma_scaling(self):
-        for x in (0.0, 0.3, 0.99):
-            assert rice_density(x, 4.0) == pytest.approx(2 * rice_density(x, 1.0))
-
-    def test_integral_matches_log_law(self):
-        quad = pytest.importorskip("scipy.integrate").quad
-        r = 1.0 - 2.0**-10
-        got, err = quad(lambda x: rice_density(x, 1.0), 0.0, r)
-        want = 10.0 * math.log(2.0) / (2.0 * math.pi)
-        assert want == pytest.approx(1.1032, abs=5e-5)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_vectorized(self):
-        xs = np.array([0.0, 0.5, 0.9])
-        out = rice_density(xs, 2.0)
-        assert out.shape == xs.shape
-
-    def test_domain(self):
-        for bad in (-0.1, 1.0):
-            with pytest.raises(ValueError):
-                rice_density(bad, 1.0)
-        for gamma in (0.0, math.inf):
-            with pytest.raises(ValueError):
-                rice_density(0.5, gamma)
