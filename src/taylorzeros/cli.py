@@ -12,8 +12,8 @@ Subcommands:
   exit 0 iff |ratio - 1| is nonincreasing along the list.
 
 Exit codes: 0 success, 1 runtime failure (message includes the seed needed
-to replay), including a value that overflows a float, 2 usage or validation
-error. The output directory is taken from --out, else the TAYLORZEROS_OUT
+to replay), including a value that overflows a float and a grid past its
+point cap, 2 usage or validation error. The output directory is taken from --out, else the TAYLORZEROS_OUT
 environment variable, else ./taylorzeros-out.
 
 Config files are flat `key = value` text; `#` starts a comment. Keys match

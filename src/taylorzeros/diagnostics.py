@@ -21,8 +21,8 @@ This module tabulates, per n,
   (v)   a lower envelope ratio Ftilde_{n, floor(n q^{-n})} / (q^{n/2}
         n^{gamma-1.25} e^{-2n}), which should stay bounded away from zero.
 
-Array length follows K(n) = ceil(40 n q^{-n}); rows whose K exceeds the
-element budget are reported as skipped rather than computed. A row holds two
+Array length follows K(n) = ceil(40 n q^{-n}); rows whose arrays would pass
+the byte budget are reported as skipped rather than computed. A row holds two
 arrays of K+1 floats, the weights and their sorted copy, each turned into its
 tails in place; everything else runs in blocks of `_LD_BLOCK` elements.
 """
@@ -50,7 +50,7 @@ _TAIL_CEILING = 1e-10
 _EXACT_TOL = 1e-12
 _NORM_TOL = 1e-9  # tail mass is capped at 1e-10, so the gap must sit below this
 _CORRIDOR_RTOL = 1e-9
-_BUDGET = 50_000_000
+_BUDGET = 320_000_000  # bytes of a row's two float64 arrays of K+1
 _LD_BLOCK = 1 << 20
 
 
@@ -230,23 +230,22 @@ def check_weight_inequalities(
 ) -> DiagnosticsReport:
     """Tabulate the five weight-array checks over n in n_range.
 
-    K(n) = ceil(40 n q^{-n}); rows over `_BUDGET` elements are skipped with
-    a notice instead of raising. A K far past it is judged by its logarithm
+    K(n) = ceil(40 n q^{-n}); a row whose two arrays of K+1 floats would
+    pass `_BUDGET` bytes is skipped with a notice, before anything is
+    allocated, instead of raising. A K far past it is judged by its logarithm
     and left as None, since q^{-n} may not fit in a float.
     """
     rows = []
     for n in n_range:
         _validate_nq(n, q)
         log_k = math.log(40.0 * n) - n * math.log(q)
-        K = math.ceil(40.0 * n * q**-n) if log_k < math.log(_BUDGET) + 1.0 else None
-        if K is None or K + 1 > _BUDGET:
-            size = K if K is not None else f"~1e{log_k / math.log(10.0):.0f}"
-            rows.append(
-                DiagnosticsRow(
-                    n=n, K=K, skipped=True,
-                    note=f"K={size} exceeds the {_BUDGET}-element budget",
-                )
-            )
+        K = math.ceil(40.0 * n * q**-n) if log_k < math.log(_BUDGET / 16) + 1.0 else None
+        if K is None or 16 * (K + 1) > _BUDGET:
+            lk = log_k / math.log(10.0)  # log10 K, where q^{-n} may not fit in a float
+            size = K if K is not None else f"~1e{lk:.0f}"
+            mb = f"{16e-6 * (K + 1):.0f}" if K is not None else f"~1e{lk + math.log10(16e-6):.0f}"
+            note = f"K={size} needs {mb} MB, over the {_BUDGET // 10**6} MB budget"
+            rows.append(DiagnosticsRow(n=n, K=K, skipped=True, note=note))
             continue
         w = weights(seq, n, q, K)
         a_sq, b_sq = w.a_sq, rearrange(w)

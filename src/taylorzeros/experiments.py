@@ -15,13 +15,13 @@ Four runners, one per question:
   laws, reporting pairwise mean differences (which should vanish within
   noise: the limit does not feel the law).
 
-Reproducibility contract: trial t draws from `trial_rng(master_seed, t)`,
-the one seed derivation, once per table group (`_table_groups`) at the
-group's largest K; tile n uses the prefix xi_0..xi_K(n), the bits a draw at
-K(n) gives, so a trial's tiles are one series. Its values depend on its own
-draw alone (never a product over several trials), so its counts do not
-depend on M, chunking or which tiles run. Seeds do not depend on the law:
-reruns are bitwise identical, and cross-law comparisons are seed-coupled.
+Reproducibility contract, for both loops: series trial t draws from
+`trial_rng(master_seed, t)`, the one seed derivation, once per table group
+(`_table_groups`), and tile n sums a prefix of its one weight vector, so a
+trial's tiles are one series; oracle path t is the t-th block of npoints
+normals of `trial_rng(seed)`. So counts depend on neither M nor `_CHUNK`,
+which sets memory only. Seeds do not depend on the law: reruns are bitwise
+identical, and cross-law comparisons are seed-coupled.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK = 2048  # trials, or oracle paths, per value buffer
+_CHUNK = 256  # trials, or oracle paths, per value buffer: sets memory, not results
 
 
 def _check_trials(trials: int):
@@ -219,23 +219,22 @@ def _table_groups(config: ExperimentConfig, tiles: range) -> list:
 
 def _group_values(config: ExperimentConfig, group: list):
     """(lo, values) per chunk of trials from lo, values[i] being tile group[i]
-    on its halved grid, in a buffer the next chunk overwrites: the prefix
-    xi_0..xi_K(n) of the trial's one draw, summed as `draw_sample(...).evaluate_many`
+    on its halved grid, in a buffer the next chunk overwrites: the prefix to
+    K(n) of the trial's one weight vector xi_k c_k, summed as `evaluate_many`
     sums it, bit for bit, but c_1 xi_1 at x = 0 (f vanishes there; this is the
     sign of f(x)/x as x -> 0+). A non-finite value raises EvaluationError."""
-    tables = [(_PowerTable(pts, K), config.seq.coeff(np.arange(K + 1)),
-               np.empty((pts.size, min(_CHUNK, config.trials)))) for *_, K, pts in group]
-    size = max(c.size for _, c, _ in tables)
+    c = config.seq.coeff(np.arange(max(K for *_, K, _ in group) + 1))
+    tables = [(_PowerTable(pts, K), np.empty((pts.size, min(_CHUNK, config.trials))))
+              for *_, K, pts in group]
     for lo in range(0, config.trials, _CHUNK):
         m = min(_CHUNK, config.trials - lo)
         for j in range(m):
-            xi = config.law.draw(trial_rng(config.master_seed, lo + j), size)
-            for table, c, v in tables:
-                w = xi[: c.size] * c
-                v[:, j] = table.weighted_sum(w)
+            w = config.law.draw(trial_rng(config.master_seed, lo + j), c.size) * c
+            for table, v in tables:
+                v[:, j] = table.weighted_sum(w[: table.K + 1])
                 if table.xs[0] == 0.0:
                     v[0, j] = w[1]
-        yield lo, [_finite(table.xs, v[:, :m]) for table, _, v in tables]
+        yield lo, [_finite(table.xs, v[:, :m]) for table, v in tables]
 
 
 def _scan(config: ExperimentConfig, tiles: range):
@@ -328,8 +327,8 @@ def run_gaussian_oracle(
     """Zero counts of exact limit-process paths on [a, b] in the t coordinate.
 
     Needs 0 < a < b < inf. The grid in u = log t comes from `roots._u_grid`,
-    the rule series scans use (u-step at most eta * 2 pi / sqrt(gamma)),
-    capped at the sampler's `_MAX_PATH_GRID` points before it is allocated.
+    the rule series scans use (u-step at most eta * 2 pi / sqrt(gamma)); past
+    the sampler's `_MAX_PATH_GRID` points it raises MemoryError unallocated.
     """
     target = expected_zeros_rice(a, b, gamma)  # checks gamma and the domain
     _check_trials(trials)

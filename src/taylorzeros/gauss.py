@@ -136,14 +136,14 @@ class PathSampler:
         self.jitter = _JITTER
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """(npoints, m) array of independent paths, drawn from `rng`;
-        `draw(sampling.trial_rng(seed), m)` is deterministic in (grid, gamma, seed, m).
+        """(npoints, m) array of independent paths from `rng`, path j taking
+        the next npoints normals, so split calls continue one path sequence.
         L z goes by row blocks of `_DRAW_BLOCK`, each block against the columns
         up to its last row: half the flops of the dense product."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        z = rng.standard_normal((self.u.size, m))
-        out = np.empty_like(z)
+        z = rng.standard_normal((m, self.u.size)).T
+        out = np.empty((self.u.size, m))
         for lo in range(0, self.u.size, _DRAW_BLOCK):
             hi = min(self.u.size, lo + _DRAW_BLOCK)
             np.matmul(self._chol[lo:hi, :hi], z[:hi], out=out[lo:hi])

@@ -64,13 +64,13 @@ def _check_eta(eta: float):
 
 def _u_grid(u_lo, u_hi, eta, gamma, split=1, cap=_MAX_GRID) -> np.ndarray:
     """The u-grid of every scan: ceil(span / step) equal gaps, step =
-    eta * 2*pi/sqrt(gamma), each cut in `split`. More than `cap` points
-    raise ValueError before anything is allocated."""
+    eta * 2*pi/sqrt(gamma), each cut in `split`. More than `cap` points raise
+    MemoryError (a runtime limit on valid input) before any allocation."""
     step = eta * 2.0 * math.pi / math.sqrt(gamma)
     big = not step > 0.0 or (u_hi - u_lo) / step >= cap  # step may underflow to 0
     points = cap + 1 if big else max(1, math.ceil((u_hi - u_lo) / step)) * split + 1
     if points > cap:
-        raise ValueError(f"u-grid [{u_lo:g}, {u_hi:g}] at step {step:g}: over {cap} points")
+        raise MemoryError(f"u-grid [{u_lo:g}, {u_hi:g}] at step {step:g}: over {cap} points")
     return np.linspace(u_lo, u_hi, points)
 
 

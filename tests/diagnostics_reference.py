@@ -102,23 +102,22 @@ def check_weight_inequalities(
 ) -> DiagnosticsReport:
     """Tabulate the five weight-array checks over n in n_range.
 
-    K(n) = ceil(40 n q^{-n}); rows over `_BUDGET` elements are skipped with
-    a notice instead of raising. A K far past it is judged by its logarithm
-    and left as None, since q^{-n} may not fit in a float.
+    K(n) = ceil(40 n q^{-n}); a row whose two arrays of K+1 floats would
+    pass `_BUDGET` bytes is skipped with a notice instead of raising. A K
+    far past it is judged by its logarithm and left as None, since q^{-n}
+    may not fit in a float.
     """
     rows = []
     for n in n_range:
         _validate_nq(n, q)
         log_k = math.log(40.0 * n) - n * math.log(q)
-        K = math.ceil(40.0 * n * q**-n) if log_k < math.log(_BUDGET) + 1.0 else None
-        if K is None or K + 1 > _BUDGET:
-            size = K if K is not None else f"~1e{log_k / math.log(10.0):.0f}"
-            rows.append(
-                DiagnosticsRow(
-                    n=n, K=K, skipped=True,
-                    note=f"K={size} exceeds the {_BUDGET}-element budget",
-                )
-            )
+        K = math.ceil(40.0 * n * q**-n) if log_k < math.log(_BUDGET / 16) + 1.0 else None
+        if K is None or 16 * (K + 1) > _BUDGET:
+            lk = log_k / math.log(10.0)
+            size = K if K is not None else f"~1e{lk:.0f}"
+            mb = f"{16e-6 * (K + 1):.0f}" if K is not None else f"~1e{lk + math.log10(16e-6):.0f}"
+            note = f"K={size} needs {mb} MB, over the {_BUDGET // 10**6} MB budget"
+            rows.append(DiagnosticsRow(n=n, K=K, skipped=True, note=note))
             continue
         w = weights(seq, n, q, K)
         b_sq = rearrange(w)

@@ -205,6 +205,16 @@ def test_gauss_oracle_failed_factorization_exits_1(monkeypatch, capsys):
     assert "jitter 1e-12" in err and "(replay with --seed 7)" in err
 
 
+def test_gauss_oracle_grid_cap_is_runtime_failure(capsys):
+    # valid input; the 690.776-wide window at this eta needs 1.1e6 grid points
+    code = main(["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "1e300",
+                 "--eta", "0.0001", "-M", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: u-grid [0, 690.776] at step 0.000628319: "
+                          "over 10000 points")
+
+
 def test_gauss_oracle_wide_window_has_finite_target(capsys):
     # b / a overflows here; log(b) - log(a) = 600 log(10) does not
     code = main(["gauss-oracle", "--gamma", "1", "--a", "1e-300", "--b", "1e300",

@@ -108,6 +108,20 @@ class TestInequalityReport:
         table = rep.format_table()
         assert "skipped" in table
 
+    def test_budget_is_in_bytes_and_checked_before_allocating(self):
+        # n=16 at q=0.5: two arrays of K+1 = 41,943,041 floats are 671 MB,
+        # over the 320 MB budget; the row is skipped before any array is made
+        tracemalloc.start()
+        try:
+            rep = check_weight_inequalities(FLAT, 0.5, [16])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = rep.rows[0]
+        assert row.skipped and row.K == K_for(16) == 41_943_040
+        assert row.note == "K=41943040 needs 671 MB, over the 320 MB budget"
+        assert peak < 1_000_000
+
     def test_largest_weight_bound_values(self):
         rep = check_weight_inequalities(FLAT, 0.5, [4])
         row = rep.rows[0]

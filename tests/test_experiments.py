@@ -421,7 +421,6 @@ def test_cumulative_slope_tracks_growth_constant():
         (1.0, 2.0, 2.0, 5, 0.01),
         (math.inf, 1.0, 2.0, 5, 0.01),
         (1.0, 1.0, math.inf, 5, 0.01),
-        (1.0, 1.0, 2.0, 5, 1e-320),
     ],
 )
 def test_oracle_rejects_bad_domain(args):
@@ -436,8 +435,11 @@ def test_oracle_rejects_non_integer_seed():
 
 
 def test_oracle_grid_cap():
-    with pytest.raises(ValueError):
-        run_gaussian_oracle(1.0, 1.0, 1e30, trials=5, eta=1e-4)
+    # valid input whose grid passes the cap: a runtime limit, raised before
+    # the grid is allocated (eta=1e-320 makes the u-step subnormal)
+    for b, eta in [(1e30, 1e-4), (2.0, 1e-320)]:
+        with pytest.raises(MemoryError, match="over 10000 points"):
+            run_gaussian_oracle(1.0, 1.0, b, trials=5, eta=eta)
 
 
 def test_oracle_matches_rice_count():
@@ -445,6 +447,28 @@ def test_oracle_matches_rice_count():
     assert g.target == pytest.approx(0.5)
     assert abs(g.mean_count - 0.5) < 4 * g.stderr
     assert sum(g.count_hist.values()) == 2000
+
+
+def test_oracle_paths_do_not_depend_on_the_chunk(monkeypatch):
+    # path t is the t-th block of normals of one stream: 10 paths in chunks
+    # of 3, 3, 3 and 1 are the 10 paths of one chunk
+    args = (1.0, 1.0, math.exp(4.0 * math.pi))
+    whole = run_gaussian_oracle(*args, trials=10, seed=4)
+    monkeypatch.setattr(experiments_mod, "_CHUNK", 3)
+    assert run_gaussian_oracle(*args, trials=10, seed=4).__dict__ == whole.__dict__
+
+
+def test_oracle_memory_is_set_by_the_grid_not_the_trial_count():
+    # 1001 points, M=3000: the factor is one n x n array; the chunk's normals
+    # and paths stay far below it (the 2048-path chunks made 7.5x)
+    b = math.exp(10.0 * math.pi)
+    tracemalloc.start()
+    try:
+        run_gaussian_oracle(1.0, 1.0, b, trials=3000, eta=0.005, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 1001**2
 
 
 def test_oracle_deterministic():

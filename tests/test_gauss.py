@@ -190,9 +190,20 @@ class TestPathSampler:
         # 1001 points: three full row blocks of 256 and a partial one
         s = PathSampler(np.linspace(0.0, 20.0 * math.pi, 1001), 1.0)
         got = s.draw(trial_rng(3), 50)
-        want = s._chol @ trial_rng(3).standard_normal((s.u.size, 50))
+        want = s._chol @ trial_rng(3).standard_normal((50, s.u.size)).T
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(path_zero_counts(got), path_zero_counts(want))
+
+    def test_split_draws_continue_one_sequence_of_paths(self):
+        # path j takes the next n normals of the stream, so 3 paths then 4
+        # are the 7 paths of one call; values agree to rounding only, as
+        # BLAS sums in an order set by the column count
+        s = PathSampler(np.linspace(0.0, 20.0 * math.pi, 1001), 1.0)
+        rng = trial_rng(3)
+        split = np.hstack([s.draw(rng, 3), s.draw(rng, 4)])
+        whole = s.draw(trial_rng(3), 7)
+        assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+        assert np.array_equal(path_zero_counts(split), path_zero_counts(whole))
 
     def test_sampler_builds_no_dense_covariance(self):
         # the benchmark's oracle grid, [0, 40 pi] at eta=0.005: 4001 points.
