@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -58,8 +59,9 @@ class EvaluationError(RuntimeError):
 
 
 def _check_eta(eta: float):
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    # a subnormal eta carries fewer significant bits and its step can underflow
+    if not (eta >= sys.float_info.min and math.isfinite(eta)):
+        raise ValueError(f"eta must be a positive, finite, normal float, got {eta}")
 
 
 def _u_grid(u_lo, u_hi, eta, gamma, split=1, cap=_MAX_GRID) -> np.ndarray:

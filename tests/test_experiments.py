@@ -421,6 +421,7 @@ def test_cumulative_slope_tracks_growth_constant():
         (1.0, 2.0, 2.0, 5, 0.01),
         (math.inf, 1.0, 2.0, 5, 0.01),
         (1.0, 1.0, math.inf, 5, 0.01),
+        (1.0, 1.0, 2.0, 5, 1e-320),
     ],
 )
 def test_oracle_rejects_bad_domain(args):
@@ -436,8 +437,8 @@ def test_oracle_rejects_non_integer_seed():
 
 def test_oracle_grid_cap():
     # valid input whose grid passes the cap: a runtime limit, raised before
-    # the grid is allocated (eta=1e-320 makes the u-step subnormal)
-    for b, eta in [(1e30, 1e-4), (2.0, 1e-320)]:
+    # the grid is allocated (eta=1e-300 is normal, its grid far too fine)
+    for b, eta in [(1e30, 1e-4), (2.0, 1e-300)]:
         with pytest.raises(MemoryError, match="over 10000 points"):
             run_gaussian_oracle(1.0, 1.0, b, trials=5, eta=eta)
 
