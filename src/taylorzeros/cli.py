@@ -12,14 +12,15 @@ Subcommands:
   exit 0 iff |ratio - 1| is nonincreasing along the list.
 
 Exit codes: 0 success, 1 runtime failure (message includes the seed needed
-to replay), including a value that overflows a float and a grid past its
-point cap, 2 usage or validation error. The output directory is taken from --out, else the TAYLORZEROS_OUT
-environment variable, else ./taylorzeros-out.
+to replay), including a value that overflows a float, a grid past its
+point cap, and a scan tile whose value buffer would outgrow one evaluation
+block, 2 usage or validation error. The output directory is taken from
+--out, else the TAYLORZEROS_OUT environment variable, else ./taylorzeros-out.
 
-Config files are flat `key = value` text; `#` starts a comment. Keys match
-ExperimentConfig fields: gamma (required), q, law, slow, n_min, n_max,
-trials, delta, eta, master_seed. Law is one of rademacher, gaussian,
-uniform. Slow-variation specs: `const`, `const:C`, `logpow:B`, `loglog`.
+Config files are flat `key = value` text; `#` starts a comment. The keys are
+the ExperimentConfig fields, gamma required; each parses as its default
+does. Law is one of rademacher, gaussian, uniform. Slow-variation specs:
+`const`, `const:C`, `logpow:B`, `loglog`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .coeffs import CoefficientSequence, Constant, LogLog, LogPower
@@ -48,7 +49,6 @@ from .reports import (
     manifest_json_text,
     report_json_text,
 )
-from .sampling import CoefficientLaw
 
 __all__ = ["main", "parse_config_file", "parse_slow_spec", "ConfigError"]
 
@@ -81,17 +81,10 @@ def parse_slow_spec(spec: str):
     )
 
 
-_CONFIG_PARSERS = {
+# each key parses as its field's default does; gamma has none, slow reads its label
+_CONFIG_PARSERS = {f.name: type(f.default) for f in fields(ExperimentConfig)} | {
     "gamma": float,
-    "q": float,
-    "law": CoefficientLaw,
     "slow": parse_slow_spec,
-    "n_min": int,
-    "n_max": int,
-    "trials": int,
-    "delta": float,
-    "eta": float,
-    "master_seed": int,
 }
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -108,18 +108,9 @@ class ExperimentConfig:
         return CoefficientSequence(self.gamma, self.slow)
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "q": self.q,
-            "law": self.law.value,
-            "slow": self.slow.label(),
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "trials": self.trials,
-            "delta": self.delta,
-            "eta": self.eta,
-            "master_seed": int(self.master_seed),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update({k: int(v) for k, v in d.items() if isinstance(v, numbers.Integral)})
+        return d | {"law": self.law.value, "slow": self.slow.label()}
 
 
 def interval_target(gamma: float, q: float) -> float:
@@ -202,12 +193,16 @@ class UniversalityReport:
 
 def _table_groups(config: ExperimentConfig, tiles: range) -> list:
     """The tiles as (row, n, a, b, K, halved grid) in runs of consecutive tiles
-    whose power tables fit together in the largest one, or in one streamed block."""
+    whose power tables fit together in the largest one, or in one streamed block.
+    A tile's value buffer, its halved grid by min(_CHUNK, trials) floats, fits
+    one _EVAL_BLOCK: a finer grid raises MemoryError before it is built."""
+    cap = _EVAL_BLOCK // min(_CHUNK, config.trials)
     plans = []
     for row, n in enumerate(tiles):
         a, b = 1.0 - config.q**n, 1.0 - config.q ** (n + 1)
+        pts = ScanGrid(a, b, config.eta, config.gamma)._points(2, cap)
         K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
-        plans.append((row, n, a, b, K, ScanGrid(a, b, config.eta, config.gamma)._points(2)))
+        plans.append((row, n, a, b, K, pts))
     budget = min(_EVAL_BLOCK, max((K * pts.size for *_, K, pts in plans), default=0))
     groups = []
     for plan in plans:

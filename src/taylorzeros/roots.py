@@ -97,10 +97,11 @@ class ScanGrid:
     def points(self) -> np.ndarray:
         return self._points(1)
 
-    def _points(self, split: int) -> np.ndarray:
-        """`points()` with each gap cut in `split`; every split-th point is bitwise."""
+    def _points(self, split: int, cap: int = _MAX_GRID) -> np.ndarray:
+        """`points()` with each gap cut in `split`; every split-th point is bitwise.
+        More than `cap` points raise MemoryError unallocated, as in `_u_grid`."""
         u_lo, u_hi = -math.log1p(-self.a), -math.log1p(-self.b)
-        x = -np.expm1(-_u_grid(u_lo, u_hi, self.eta, self.gamma, split))
+        x = -np.expm1(-_u_grid(u_lo, u_hi, self.eta, self.gamma, split, cap))
         x[0], x[-1] = self.a, self.b
         return x
 

@@ -1,11 +1,15 @@
+import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import taylorzeros.experiments as experiments_mod
 import taylorzeros.sampling as sampling_mod
+from taylorzeros import cli
+from taylorzeros.coeffs import Constant, LogLog, LogPower
 from taylorzeros.experiments import (
     ExperimentConfig,
     _group_values,
@@ -19,6 +23,7 @@ from taylorzeros.experiments import (
     run_interval_experiment,
     run_universality,
 )
+from taylorzeros.reports import build_report, report_json_text
 from taylorzeros.roots import EvaluationError, ScanGrid, path_zero_counts
 from taylorzeros.sampling import (
     CoefficientLaw,
@@ -67,12 +72,28 @@ def test_config_rejects_bad_fields(kw):
         small_config(**kw)
 
 
-def test_config_round_trips_to_dict():
+def test_config_round_trips_to_dict(tmp_path):
     cfg = small_config()
     d = cfg.to_dict()
     assert d["law"] == "rademacher"
     assert d["gamma"] == 1.0 and d["trials"] == 40
     assert d["slow"] == "const:1.0"
+    # to_dict written as `key = value` lines, as bench/workloads.py writes it,
+    # parses back to the same config; the parser's keys are the fields
+    assert set(cli._CONFIG_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+    i64 = np.int64  # numpy integers, which json cannot write, become ints
+    configs = [small_config(law=law) for law in CoefficientLaw] + [
+        small_config(slow=slow, q=0.3, delta=2.5e-7, eta=0.015)
+        for slow in (Constant(2.5), LogPower(-0.5), LogLog())
+    ] + [ExperimentConfig(gamma=1.0, n_min=i64(1), n_max=i64(2), trials=i64(5),
+                         master_seed=i64(7))]
+    for cfg in configs:
+        path = tmp_path / "round.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.to_dict().items()))
+        assert cli.parse_config_file(path) == cfg
+    estimates, slope = _simulate(configs[-1])
+    report = build_report("simulate", configs[-1].to_dict(), intervals=estimates, slope=slope)
+    assert json.loads(report_json_text(report))["config"]["trials"] == 5
 
 
 def test_interval_target_values():
@@ -254,6 +275,22 @@ def test_simulate_peak_memory_stays_near_one_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * table_bytes
+
+
+def test_scan_grid_past_its_bound_raises_before_allocating(monkeypatch):
+    # a tile's value buffer, halved grid by min(_CHUNK, M) floats, must fit one
+    # _EVAL_BLOCK; at 16 points eta=0.005's 47-point tiles raise MemoryError
+    # before any grid, power table or buffer is built
+    monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", 16 * experiments_mod._CHUNK)
+    cfg = small_config(n_min=0, n_max=3, trials=256, eta=0.005)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="over 16 points"):
+            run_interval_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 256 * 8  # under one 64-point buffer
 
 
 def test_tile_rows_do_not_depend_on_which_tiles_run():
