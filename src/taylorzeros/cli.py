@@ -122,14 +122,9 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 def _resolve_out(flag_value) -> Path:
-    out = flag_value or os.environ.get(_OUT_ENV) or _DEFAULT_OUT
-    path = Path(out)
+    path = Path(flag_value or os.environ.get(_OUT_ENV) or _DEFAULT_OUT)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write(out_dir: Path, name: str, text: str):
-    (out_dir / name).write_text(text)
 
 
 def _cmd_simulate(args) -> int:
@@ -139,14 +134,12 @@ def _cmd_simulate(args) -> int:
     args._replay_seed = config.master_seed
     out_dir = _resolve_out(args.out)
     estimates, slope = _simulate(config)
-    _write(out_dir, "intervals.csv", interval_csv_text(config, estimates))
-    _write(out_dir, "cumulative.csv", cumulative_csv_text(slope))
+    (out_dir / "intervals.csv").write_text(interval_csv_text(config, estimates))
+    (out_dir / "cumulative.csv").write_text(cumulative_csv_text(slope))
     report = build_report("simulate", config.to_dict(), intervals=estimates, slope=slope)
-    _write(out_dir, "report.json", report_json_text(report))
-    manifest = manifest_json_text(
-        "simulate", str(args.config), config.to_dict(), str(out_dir)
-    )
-    _write(out_dir, "manifest.json", manifest)
+    (out_dir / "report.json").write_text(report_json_text(report))
+    manifest = manifest_json_text("simulate", str(args.config), config.to_dict(), str(out_dir))
+    (out_dir / "manifest.json").write_text(manifest)
     print(f"interval counts (law={config.law.value}, q={config.q}, "
           f"gamma={config.gamma}, trials={config.trials}):")
     for e in estimates:
@@ -170,14 +163,11 @@ def _cmd_gauss_oracle(args) -> int:
     print(f"  target={summary.target:.5f} (expected count by the Rice formula)")
     if args.out is not None:
         out_dir = _resolve_out(args.out)
-        flags = {
-            "gamma": args.gamma, "a": args.a, "b": args.b,
-            "trials": args.trials, "eta": args.eta, "seed": args.seed,
-        }
+        flags = {k: getattr(args, k) for k in ("gamma", "a", "b", "trials", "eta", "seed")}
         report = build_report("gauss-oracle", flags, oracle=summary)
-        _write(out_dir, "report.json", report_json_text(report))
+        (out_dir / "report.json").write_text(report_json_text(report))
         manifest = manifest_json_text("gauss-oracle", None, flags, str(out_dir))
-        _write(out_dir, "manifest.json", manifest)
+        (out_dir / "manifest.json").write_text(manifest)
         print(f"wrote report.json manifest.json -> {out_dir}")
     return 0
 

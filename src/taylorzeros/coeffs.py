@@ -56,7 +56,7 @@ class Constant:
         return 1.0
 
     def label(self) -> str:
-        return f"const:{self.c!r}"
+        return f"const:{float(self.c)!r}"
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class LogPower:
         return float((1.0 + math.log(k + 1)) / (1.0 + math.log(k))) ** self.beta
 
     def label(self) -> str:
-        return f"logpow:{self.beta!r}"
+        return f"logpow:{float(self.beta)!r}"
 
 
 @dataclass(frozen=True)

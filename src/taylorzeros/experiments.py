@@ -17,11 +17,12 @@ Four runners, one per question:
 
 Reproducibility contract, for both loops: series trial t draws from
 `trial_rng(master_seed, t)`, the one seed derivation, once per table group
-(`_table_groups`), and tile n sums a prefix of its one weight vector, so a
-trial's tiles are one series; oracle path t is the t-th block of npoints
-normals of `trial_rng(seed)`. So counts depend on neither M nor `_CHUNK`,
-which sets memory only. Seeds do not depend on the law: reruns are bitwise
-identical, and cross-law comparisons are seed-coupled.
+(`_table_groups`; its plans hold no arrays, and a group builds its grids
+with its power tables), and tile n sums a prefix of its one weight vector,
+so a trial's tiles are one series; oracle path t is the t-th block of
+npoints normals of `trial_rng(seed)`. So counts depend on neither M nor
+`_CHUNK`, which sets memory only. Seeds do not depend on the law: reruns
+are bitwise identical, and cross-law comparisons are seed-coupled.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .coeffs import CoefficientSequence, Constant, LogLog, LogPower, _check_gamm
 from .diagnostics import _check_q
 from .gauss import _MAX_PATH_GRID, PathSampler, expected_zeros_rice
 # count_zeros and draw_sample are unused: bench/tracing.py wraps them on this module
-from .roots import ScanGrid, _check_eta, _finite, _u_grid, count_zeros, path_zero_counts
+from .roots import (ScanGrid, _check_eta, _finite, _halved_counts, _u_grid, count_zeros,
+                    path_zero_counts)
 from .sampling import (
     CoefficientLaw,
     TruncationPolicy,
@@ -102,6 +104,9 @@ class ExperimentConfig:
         _check_eta(self.eta)
         if not (0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        kinds = {"int": int, "float": float}  # json cannot write numpy scalars
+        for f in (f for f in fields(self) if f.type in kinds):
+            object.__setattr__(self, f.name, kinds[f.type](getattr(self, f.name)))
 
     @property
     def seq(self) -> CoefficientSequence:
@@ -109,7 +114,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d.update({k: int(v) for k, v in d.items() if isinstance(v, numbers.Integral)})
         return d | {"law": self.law.value, "slow": self.slow.label()}
 
 
@@ -192,21 +196,21 @@ class UniversalityReport:
 
 
 def _table_groups(config: ExperimentConfig, tiles: range) -> list:
-    """The tiles as (row, n, a, b, K, halved grid) in runs of consecutive tiles
-    whose power tables fit together in the largest one, or in one streamed block.
-    A tile's value buffer, its halved grid by min(_CHUNK, trials) floats, fits
-    one _EVAL_BLOCK: a finer grid raises MemoryError before it is built."""
+    """The tiles as array-free plans (row, n, ScanGrid, K, halved-grid points)
+    in runs of consecutive tiles whose power tables fit together in the largest
+    one, or in one streamed block. A tile's value buffer, its halved grid by
+    min(_CHUNK, trials) floats, fits one _EVAL_BLOCK: a finer grid raises
+    MemoryError before it is built, and one that fits is dropped once sized."""
     cap = _EVAL_BLOCK // min(_CHUNK, config.trials)
     plans = []
     for row, n in enumerate(tiles):
-        a, b = 1.0 - config.q**n, 1.0 - config.q ** (n + 1)
-        pts = ScanGrid(a, b, config.eta, config.gamma)._points(2, cap)
-        K = truncation_degree(config.seq, TruncationPolicy(b, config.delta))
-        plans.append((row, n, a, b, K, pts))
-    budget = min(_EVAL_BLOCK, max((K * pts.size for *_, K, pts in plans), default=0))
+        grid = ScanGrid(1.0 - config.q**n, 1.0 - config.q ** (n + 1), config.eta, config.gamma)
+        K = truncation_degree(config.seq, TruncationPolicy(grid.b, config.delta))
+        plans.append((row, n, grid, K, grid._points(2, cap).size))
+    budget = min(_EVAL_BLOCK, max((K * size for *_, K, size in plans), default=0))
     groups = []
     for plan in plans:
-        if not groups or sum(K * pts.size for *_, K, pts in groups[-1] + [plan]) > budget:
+        if not groups or sum(K * size for *_, K, size in groups[-1] + [plan]) > budget:
             groups.append([])
         groups[-1].append(plan)
     return groups
@@ -219,8 +223,8 @@ def _group_values(config: ExperimentConfig, group: list):
     sums it, bit for bit, but c_1 xi_1 at x = 0 (f vanishes there; this is the
     sign of f(x)/x as x -> 0+). A non-finite value raises EvaluationError."""
     c = config.seq.coeff(np.arange(max(K for *_, K, _ in group) + 1))
-    tables = [(_PowerTable(pts, K), np.empty((pts.size, min(_CHUNK, config.trials))))
-              for *_, K, pts in group]
+    tables = [(_PowerTable(grid._points(2), K), np.empty((size, min(_CHUNK, config.trials))))
+              for _, _, grid, K, size in group]
     for lo in range(0, config.trials, _CHUNK):
         m = min(_CHUNK, config.trials - lo)
         for j in range(m):
@@ -242,15 +246,15 @@ def _scan(config: ExperimentConfig, tiles: range):
     groups = _table_groups(config, tiles)
     for group in groups:
         for lo, vals in _group_values(config, group):
-            for (i, _, a, *_), v in zip(group, vals):
-                grid = path_zero_counts(v[::2])  # the grid's own points; v is halved
-                counts[i, lo : lo + grid.size] = grid + (a == 0.0)
-                unstable[i] += np.count_nonzero(path_zero_counts(v) != grid)
-        del vals, v  # freed before the next group's power tables are built
+            for (i, _, grid, *_), v in zip(group, vals):
+                own, stable = _halved_counts(v)
+                counts[i, lo : lo + own.size] = own + (grid.a == 0.0)
+                unstable[i] += np.count_nonzero(~stable)
+        del vals, v  # freed before the next group's grids and power tables are built
     return [IntervalEstimate.from_counts(
-        counts[i], target, n=n, a=a, b=b, law=config.law.value,
+        counts[i], target, n=n, a=grid.a, b=grid.b, law=config.law.value,
         unstable_fraction=float(unstable[i] / config.trials),
-    ) for group in groups for i, n, a, b, *_ in group], counts
+    ) for group in groups for i, n, grid, *_ in group], counts
 
 
 # jobs is ignored; bench/workloads.py SimulatePreset.jobs2_speedup passes it

@@ -7,11 +7,11 @@ places ~1/eta points per expected zero and missed same-cell pairs are rare.
 That grid rule lives here, in `_u_grid` (ceil(span/step) equal gaps, and a
 point cap checked before the grid is allocated); `ScanGrid` and the
 limit-process oracle (in u = log t) both build their grids with it.
-`count_zeros` counts sign changes from one evaluation on the grid with every
-gap halved (stable if both agree); `locate_zeros` brackets zeros by bisection.
+`count_zeros` and the experiments' scan count sign changes on the grid with
+every gap halved (stable if both agree); `locate_zeros` brackets by bisection.
 
 The counting rule lives here, in `_zero_gaps`, and every count in the
-package uses it (`count_zeros` for series scans, `path_zero_counts` for
+package uses it (`_halved_counts` for series scans, `path_zero_counts` for
 limit-process paths). It is half-open on [a, b): a sign change is a gap whose
 endpoint values have opposite `np.sign` (signs, not products, so values near
 underflow still count), an exact zero sitting on a grid point is counted once
@@ -143,6 +143,13 @@ def path_zero_counts(values) -> np.ndarray:
     return np.sum(_zero_gaps(np.asarray(values, dtype=float)), axis=0)
 
 
+def _halved_counts(fine: np.ndarray):
+    """Counts along axis 0 of values on a halved grid: the zeros on the grid's
+    own points (the even rows), and the mask where all points count the same."""
+    n = path_zero_counts(fine[::2])
+    return n, path_zero_counts(fine) == n
+
+
 def _refine(fn, lo: float, hi: float, lo_positive: bool, tol: float):
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -166,9 +173,8 @@ def count_zeros(fn, grid: ScanGrid, *, vectorized: bool = True) -> ZeroCount:
     indices); `stable` records whether all points give the same count.
     `vectorized` is ignored; the `oracles` audit in bench/workloads.py passes it.
     """
-    fine = _values(fn, grid._points(2))
-    n = int(np.count_nonzero(_zero_gaps(fine[::2])))
-    return ZeroCount(count=n, stable=bool(np.count_nonzero(_zero_gaps(fine)) == n))
+    n, stable = _halved_counts(_values(fn, grid._points(2)))
+    return ZeroCount(count=int(n), stable=bool(stable))
 
 
 def locate_zeros(fn, grid: ScanGrid) -> np.ndarray:

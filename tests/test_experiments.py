@@ -24,7 +24,7 @@ from taylorzeros.experiments import (
     run_universality,
 )
 from taylorzeros.reports import build_report, report_json_text
-from taylorzeros.roots import EvaluationError, ScanGrid, path_zero_counts
+from taylorzeros.roots import EvaluationError, ScanGrid, count_zeros, path_zero_counts
 from taylorzeros.sampling import (
     CoefficientLaw,
     TruncationPolicy,
@@ -94,6 +94,28 @@ def test_config_round_trips_to_dict(tmp_path):
     estimates, slope = _simulate(configs[-1])
     report = build_report("simulate", configs[-1].to_dict(), intervals=estimates, slope=slope)
     assert json.loads(report_json_text(report))["config"]["trials"] == 5
+
+
+def test_config_from_numpy_scalars_holds_builtin_numbers(tmp_path):
+    # float32 tile edges, a numpy label and numpy integers all once reached
+    # report.json, where json.dumps raised TypeError or the label did not parse
+    scalars = dict(gamma=np.float64(1.0), q=np.float32(0.3), n_min=np.int64(1),
+                   n_max=np.int64(2), trials=np.int64(5), delta=np.float32(2.5e-7),
+                   eta=np.float64(0.015), master_seed=np.int64(7))
+    builtin = {k: float(v) if isinstance(v, np.floating) else int(v)
+               for k, v in scalars.items()}
+    texts = []
+    for kw, beta in ((scalars, np.float64(-0.5)), (builtin, -0.5)):
+        cfg = ExperimentConfig(slow=LogPower(beta), **kw)
+        assert all(type(getattr(cfg, k)) is type(v) for k, v in builtin.items())
+        path = tmp_path / "round.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.to_dict().items()))
+        assert cli.parse_config_file(path) == cfg
+        estimates, slope = _simulate(cfg)
+        assert type(estimates[0].a) is float
+        texts.append(report_json_text(
+            build_report("simulate", cfg.to_dict(), intervals=estimates, slope=slope)))
+    assert texts[0] == texts[1]
 
 
 def test_interval_target_values():
@@ -248,17 +270,36 @@ def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
     groups = _table_groups(cfg, range(8))
     plans = [p for g in groups for p in g]
     assert [p[:2] for p in plans] == list(enumerate(range(8)))  # each tile once, in order
-    for _, n, a, b, K, pts in plans:
-        assert (a, b) == _tile(cfg, n)
+    for _, n, grid, K, size in plans:
+        a, b = _tile(cfg, n)
+        assert grid == ScanGrid(a, b, cfg.eta, cfg.gamma)
         assert K == truncation_degree(cfg.seq, TruncationPolicy(b, cfg.delta))
-        assert np.array_equal(pts, ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2))
-    sizes = [[K * pts.size for *_, K, pts in g] for g in groups]
+        pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
+        assert np.array_equal(grid._points(2), pts) and size == pts.size
+    sizes = [[K * size for *_, K, size in g] for g in groups]
     budget = min(max(map(max, sizes)), block or sampling_mod._EVAL_BLOCK)
     assert all(sum(s) <= budget or len(s) == 1 for s in sizes)
     assert all(len(s) == 1 for s in sizes if max(s) > budget)  # streamed tables alone
     # a group is closed only when the next tile's table would not fit in it
     assert all(sum(s) + nxt[0] > budget for s, nxt in zip(sizes, sizes[1:]))
     assert block or len(groups) < len(plans)  # unstreamed, some tiles share a draw
+
+
+def test_table_groups_hold_no_grids():
+    # plans describe their grids: at eta=2e-7 each preset tile's halved grid
+    # has 1.1M points (8.8 MB), so planning may hold one grid, never eleven
+    cfg = ExperimentConfig(gamma=1.0, trials=1, eta=2e-7, n_min=0, n_max=10)
+    grid_bytes = 8 * ScanGrid(*_tile(cfg, 10), cfg.eta, cfg.gamma)._points(2).size
+    tracemalloc.start()
+    try:
+        groups = _table_groups(cfg, range(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plans = [p for g in groups for p in g]
+    assert len(plans) == 11
+    assert not any(isinstance(x, np.ndarray) for p in plans for x in p)
+    assert peak < 3 * grid_bytes
 
 
 def test_simulate_peak_memory_stays_near_one_table():
@@ -349,6 +390,24 @@ def test_deep_interval_mean_approaches_limit():
     e = run_interval_experiment(cfg)[0]
     assert abs(e.mean_count - e.target) < 4 * e.stderr + 1e-12
     assert e.unstable_fraction < 0.01
+
+
+def test_scan_stability_matches_count_zeros():
+    # at a coarse eta some trials count differently on the halved grid; the
+    # scan's unstable_fraction and counts are count_zeros' on each trial's
+    # own draw_sample (tile 0 differs at x = 0, where f vanishes)
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, eta=0.5, trials=40, master_seed=5)
+    ests, counts = _scan(cfg, range(7))
+    assert any(e.unstable_fraction > 0 for e in ests[1:])
+    for n in range(1, 7):
+        a, b = _tile(cfg, n)
+        policy = TruncationPolicy(b, cfg.delta)
+        K = truncation_degree(cfg.seq, policy)
+        zcs = [count_zeros(draw_sample(cfg.seq, cfg.law, np.random.SeedSequence(
+            cfg.master_seed, spawn_key=(t,)), K, policy).evaluate_many,
+            ScanGrid(a, b, cfg.eta, cfg.gamma)) for t in range(cfg.trials)]
+        assert counts[n].tolist() == [z.count for z in zcs]
+        assert ests[n].unstable_fraction == sum(not z.stable for z in zcs) / cfg.trials
 
 
 # ------------------------------------------------------------ cumulative
