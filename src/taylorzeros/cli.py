@@ -131,7 +131,7 @@ def _cmd_simulate(args) -> int:
     config = parse_config_file(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    args._replay_seed = config.master_seed
+    args.seed = config.master_seed
     out_dir = _resolve_out(args.out)
     estimates, slope = _simulate(config)
     (out_dir / "intervals.csv").write_text(interval_csv_text(config, estimates))
@@ -263,9 +263,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MemoryError, OSError, OverflowError) as exc:
-        seed = getattr(args, "_replay_seed", None)
-        if seed is None:
-            seed = getattr(args, "seed", None)
+        seed = getattr(args, "seed", None)
         seed_note = f" (replay with --seed {seed})" if seed is not None else ""
         print(f"runtime failure: {exc}{seed_note}", file=sys.stderr)
         return 1

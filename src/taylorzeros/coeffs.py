@@ -120,6 +120,8 @@ class CoefficientSequence:
 
     def __post_init__(self):
         _check_gamma(self.gamma)
+        if not isinstance(self.slow, (Constant, LogPower, LogLog)):
+            raise ValueError(f"slow must be a Constant, LogPower or LogLog, got {self.slow!r}")
 
     def _log_csq(self, k):
         """(gamma-1) log k + log L(k) - log Gamma(gamma), k >= 1, in one array."""

@@ -17,11 +17,11 @@ Four runners, one per question:
 
 Reproducibility contract, for both loops: series trial t draws from
 `trial_rng(master_seed, t)`, the one seed derivation, once per table group
-(`_table_groups`; its plans hold no arrays, and a group builds its grids
-with its power tables), and tile n sums a prefix of its one weight vector,
-so a trial's tiles are one series; oracle path t is the t-th block of
-npoints normals of `trial_rng(seed)`. So counts depend on neither M nor
-`_CHUNK`, which sets memory only. Seeds do not depend on the law: reruns
+(`_table_groups`; its plans are integers, and a group builds each tile's
+grid once, with its power tables), and tile n sums a prefix of its one
+weight vector, so a trial's tiles are one series; oracle path t is the t-th
+block of npoints normals of `trial_rng(seed)`. So counts depend on neither M
+nor `_CHUNK`, which sets memory only. Seeds do not depend on the law: reruns
 are bitwise identical, and cross-law comparisons are seed-coupled.
 """
 
@@ -33,11 +33,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .coeffs import CoefficientSequence, Constant, LogLog, LogPower, _check_gamma
+from .coeffs import CoefficientSequence, Constant, LogLog, LogPower
 from .diagnostics import _check_q
 from .gauss import _MAX_PATH_GRID, PathSampler, expected_zeros_rice
 # count_zeros and draw_sample are unused: bench/tracing.py wraps them on this module
-from .roots import (ScanGrid, _check_eta, _finite, _halved_counts, _u_grid, count_zeros,
+from .roots import (ScanGrid, _check_eta, _finite, _halved_counts, _u_grid_size, count_zeros,
                     path_zero_counts)
 from .sampling import (
     CoefficientLaw,
@@ -88,7 +88,7 @@ class ExperimentConfig:
     master_seed: int = 2026
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        self.seq  # checks gamma and slow
         _check_q(self.q)
         if not isinstance(self.law, CoefficientLaw):
             raise ValueError(f"law must be a CoefficientLaw, got {self.law!r}")
@@ -196,17 +196,16 @@ class UniversalityReport:
 
 
 def _table_groups(config: ExperimentConfig, tiles: range) -> list:
-    """The tiles as array-free plans (row, n, ScanGrid, K, halved-grid points)
+    """The tiles as plans of integers (row, n, ScanGrid, K, halved-grid points)
     in runs of consecutive tiles whose power tables fit together in the largest
-    one, or in one streamed block. A tile's value buffer, its halved grid by
-    min(_CHUNK, trials) floats, fits one _EVAL_BLOCK: a finer grid raises
-    MemoryError before it is built, and one that fits is dropped once sized."""
+    one, or in one streamed block. Builds no grid: a tile's value buffer, halved
+    grid by min(_CHUNK, trials) floats, over one _EVAL_BLOCK raises MemoryError."""
     cap = _EVAL_BLOCK // min(_CHUNK, config.trials)
     plans = []
     for row, n in enumerate(tiles):
         grid = ScanGrid(1.0 - config.q**n, 1.0 - config.q ** (n + 1), config.eta, config.gamma)
         K = truncation_degree(config.seq, TruncationPolicy(grid.b, config.delta))
-        plans.append((row, n, grid, K, grid._points(2, cap).size))
+        plans.append((row, n, grid, K, grid._size(2, cap)))
     budget = min(_EVAL_BLOCK, max((K * size for *_, K, size in plans), default=0))
     groups = []
     for plan in plans:
@@ -272,11 +271,10 @@ def _tiles_for(q: float, r: float) -> int:
     return m
 
 
-def _slope_report(config: ExperimentConfig, rs, counts) -> SlopeReport:
-    """Per-trial sums of rows 0..m-1 of `counts` for each r = 1-q^m in `rs`
-    (the counts on [0, r)), and the slope fitted to their means."""
+def _slope_report(config: ExperimentConfig, rs, ms, counts) -> SlopeReport:
+    """Per-trial sums of rows 0..m-1 of `counts` for each r = 1-q^m in `rs`,
+    m in `ms` (the counts on [0, r)), and the slope fitted to their means."""
     target = math.sqrt(config.gamma) / (2.0 * math.pi)
-    ms = [_tiles_for(config.q, r) for r in rs]
     sums = [CountSummary.from_counts(counts[:m].sum(axis=0), math.nan) for m in ms]
     means = [s.mean_count for s in sums]
     us = [-math.log1p(-r) for r in rs]
@@ -303,16 +301,18 @@ def run_cumulative(config: ExperimentConfig, r_list) -> SlopeReport:
     rs = sorted(float(r) for r in r_list)
     if any(not (0.0 < r < 1.0) for r in rs):
         raise ValueError("every r must be in (0, 1)")
-    _, counts = _scan(config, range(max((_tiles_for(config.q, r) for r in rs), default=0)))
-    return _slope_report(config, rs, counts)
+    ms = [_tiles_for(config.q, r) for r in rs]
+    _, counts = _scan(config, range(max(ms, default=0)))
+    return _slope_report(config, rs, ms, counts)
 
 
 def _simulate(config: ExperimentConfig):
     """`run_interval_experiment(config)`, and `run_cumulative` at r = 1-q^(n+1)
     for n = n_min..n_max, from one scan of tiles 0..n_max."""
     estimates, counts = _scan(config, range(config.n_max + 1))
-    rs = [1.0 - config.q ** (n + 1) for n in range(config.n_min, config.n_max + 1)]
-    return estimates[config.n_min :], _slope_report(config, rs, counts)
+    ms = range(config.n_min + 1, config.n_max + 2)
+    rs = [1.0 - config.q**m for m in ms]
+    return estimates[config.n_min :], _slope_report(config, rs, ms, counts)
 
 
 def run_gaussian_oracle(
@@ -325,16 +325,16 @@ def run_gaussian_oracle(
 ) -> GaussianOracleSummary:
     """Zero counts of exact limit-process paths on [a, b] in the t coordinate.
 
-    Needs 0 < a < b < inf. The grid in u = log t comes from `roots._u_grid`,
-    the rule series scans use (u-step at most eta * 2 pi / sqrt(gamma)); past
-    the sampler's `_MAX_PATH_GRID` points it raises MemoryError unallocated.
+    Needs 0 < a < b < inf. The grid in u = log t has `roots._u_grid_size`
+    points, the rule series scans use (u-step at most eta * 2 pi / sqrt(gamma));
+    past the sampler's `_MAX_PATH_GRID` points it raises MemoryError unallocated.
     """
     target = expected_zeros_rice(a, b, gamma)  # checks gamma and the domain
     _check_trials(trials)
     _check_eta(eta)
     rng = trial_rng(seed)
-    grid = _u_grid(math.log(a), math.log(b), eta, gamma, cap=_MAX_PATH_GRID)
-    sampler = PathSampler(grid, gamma)
+    u = math.log(a), math.log(b)
+    sampler = PathSampler(np.linspace(*u, _u_grid_size(*u, eta, gamma, cap=_MAX_PATH_GRID)), gamma)
     counts = np.concatenate([
         path_zero_counts(sampler.draw(rng, min(_CHUNK, trials - lo)))
         for lo in range(0, trials, _CHUNK)

@@ -16,7 +16,7 @@ so the expected count on [a, b] in the t coordinate is
 jitter `_JITTER` (1e-12), of the Toeplitz covariance of an equally spaced grid
 of at most `_MAX_PATH_GRID` (1e4) points, read from its n lags with no n x n
 copy; L z is formed block by block below the diagonal. The oracle's grid
-comes from `roots._u_grid`, the series grid rule, under that cap;
+has `roots._u_grid_size` points, the series grid rule, under that cap;
 `roots.path_zero_counts` counts the paths by the same half-open rule.
 """
 

@@ -4,9 +4,9 @@ Scanning happens in the coordinate u = -log(1-x), where the zero set of the
 series becomes asymptotically stationary: the expected number of zeros per
 unit u tends to sqrt(gamma)/(2*pi), so a grid step of eta * 2*pi/sqrt(gamma)
 places ~1/eta points per expected zero and missed same-cell pairs are rare.
-That grid rule lives here, in `_u_grid` (ceil(span/step) equal gaps, and a
-point cap checked before the grid is allocated); `ScanGrid` and the
-limit-process oracle (in u = log t) both build their grids with it.
+That grid rule lives here, in `_u_grid_size` (ceil(span/step) equal gaps and
+a point cap, in integers); `ScanGrid` and the limit-process oracle (in
+u = log t) both build a linspace of that many points.
 `count_zeros` and the experiments' scan count sign changes on the grid with
 every gap halved (stable if both agree); `locate_zeros` brackets by bisection.
 
@@ -64,22 +64,22 @@ def _check_eta(eta: float):
         raise ValueError(f"eta must be a positive, finite, normal float, got {eta}")
 
 
-def _u_grid(u_lo, u_hi, eta, gamma, split=1, cap=_MAX_GRID) -> np.ndarray:
-    """The u-grid of every scan: ceil(span / step) equal gaps, step =
+def _u_grid_size(u_lo, u_hi, eta, gamma, split=1, cap=_MAX_GRID) -> int:
+    """Points of the u-grid of every scan: ceil(span / step) equal gaps, step =
     eta * 2*pi/sqrt(gamma), each cut in `split`. More than `cap` points raise
-    MemoryError (a runtime limit on valid input) before any allocation."""
+    MemoryError (a runtime limit on valid input); nothing is allocated."""
     step = eta * 2.0 * math.pi / math.sqrt(gamma)
     big = not step > 0.0 or (u_hi - u_lo) / step >= cap  # step may underflow to 0
     points = cap + 1 if big else max(1, math.ceil((u_hi - u_lo) / step)) * split + 1
     if points > cap:
         raise MemoryError(f"u-grid [{u_lo:g}, {u_hi:g}] at step {step:g}: over {cap} points")
-    return np.linspace(u_lo, u_hi, points)
+    return points
 
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Arithmetic grid in u = -log(1-x) over [a, b], 0 <= a < b < 1, built
-    by `_u_grid`: the u-step is at most eta * 2*pi/sqrt(gamma), a fixed
+    """Arithmetic grid in u = -log(1-x) over [a, b], 0 <= a < b < 1, sized
+    by `_u_grid_size`: the u-step is at most eta * 2*pi/sqrt(gamma), a fixed
     fraction of the mean zero spacing of the limit process.
     """
 
@@ -97,11 +97,16 @@ class ScanGrid:
     def points(self) -> np.ndarray:
         return self._points(1)
 
-    def _points(self, split: int, cap: int = _MAX_GRID) -> np.ndarray:
-        """`points()` with each gap cut in `split`; every split-th point is bitwise.
-        More than `cap` points raise MemoryError unallocated, as in `_u_grid`."""
-        u_lo, u_hi = -math.log1p(-self.a), -math.log1p(-self.b)
-        x = -np.expm1(-_u_grid(u_lo, u_hi, self.eta, self.gamma, split, cap))
+    def _u_span(self) -> tuple[float, float]:
+        return -math.log1p(-self.a), -math.log1p(-self.b)
+
+    def _size(self, split: int, cap: int = _MAX_GRID) -> int:
+        """Points of `_points(split)`, unbuilt; over `cap` raises MemoryError."""
+        return _u_grid_size(*self._u_span(), self.eta, self.gamma, split, cap)
+
+    def _points(self, split: int) -> np.ndarray:
+        """`points()` with each gap cut in `split`; every split-th point is bitwise."""
+        x = -np.expm1(-np.linspace(*self._u_span(), self._size(split)))
         x[0], x[-1] = self.a, self.b
         return x
 

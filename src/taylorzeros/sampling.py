@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _EVAL_BLOCK = 1 << 24  # elements per cumulative-power block
-_K_CAP = 1 << 31
+_K_CAP = 1 << 27  # K <= 2^26: a weight vector and a draw are K+1 floats each
 
 _SQRT3 = math.sqrt(3.0)
 

@@ -126,6 +126,19 @@ def test_simulate_validation_failure_exits_2(tmp_path, capsys):
     assert "q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, seed", [([], 77), (["--seed", "5"], 5)])
+def test_simulate_past_the_degree_cap_exits_1_naming_its_seed(tmp_path, capsys, flags, seed):
+    # the preset at n_max = 23: tile 22 needs K = 2^27 terms, so the scan stops
+    # while it is planned, before any weight vector is drawn
+    p = tmp_path / "deep.cfg"
+    p.write_text("gamma = 1.0\nn_max = 23\ntrials = 2\nmaster_seed = 77\n")
+    code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: truncation_degree exceeded 134217728 terms")
+    assert err.rstrip().endswith(f"(replay with --seed {seed})")
+
+
 def test_simulate_missing_config_file_exits_2(tmp_path):
     code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2

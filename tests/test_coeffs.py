@@ -52,6 +52,9 @@ class TestCoeff:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 LogPower(bad)
+        for bad in ("const", 2.0, None, lambda t: 1.0):
+            with pytest.raises(ValueError, match="slow must be"):
+                CoefficientSequence(1.0, bad)
 
     def test_gamma_validation(self):
         # gamma = 171.7 and up: Gamma(gamma), the divisor in c_k^2, overflows

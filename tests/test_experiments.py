@@ -65,6 +65,9 @@ def small_config(**kw):
         dict(trials=2.5),
         dict(n_min=1.5, n_max=2),
         dict(n_max=6.5),
+        dict(slow="const"),  # a label, not a slow-variation object
+        dict(slow=2.0),
+        dict(slow=None),
     ],
 )
 def test_config_rejects_bad_fields(kw):
@@ -240,9 +243,10 @@ def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
 
 def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
     # the preset's scan of tiles 0..10 has two groups, 0..9 and 10: 2M draws
-    # (one per tile and trial is 11M), and K is worked out once per tile
-    draw, degree = CoefficientLaw.draw, experiments_mod.truncation_degree
-    sizes, degrees = [], []
+    # (one per tile and trial is 11M), and K and the grid are worked out once
+    # per tile; planning sizes the grids without building them
+    draw, degree, points = CoefficientLaw.draw, experiments_mod.truncation_degree, ScanGrid._points
+    sizes, degrees, grids = [], [], []
 
     def counting_draw(self, rng, size):
         sizes.append(size)
@@ -252,10 +256,16 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
         degrees.append(degree(seq, policy))
         return degrees[-1]
 
+    def counting_points(self, *args):
+        grids.append(self)
+        return points(self, *args)
+
     monkeypatch.setattr(CoefficientLaw, "draw", counting_draw)
     monkeypatch.setattr(experiments_mod, "truncation_degree", counting_degree)
+    monkeypatch.setattr(ScanGrid, "_points", counting_points)
     _simulate(ExperimentConfig(gamma=1.0, trials=5))
     assert len(degrees) == 11
+    assert len(grids) == len(set(grids)) == 11
     assert sorted(sizes) == [degrees[9] + 1] * 5 + [degrees[10] + 1] * 5
 
 
@@ -287,7 +297,7 @@ def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
 
 def test_table_groups_hold_no_grids():
     # plans describe their grids: at eta=2e-7 each preset tile's halved grid
-    # has 1.1M points (8.8 MB), so planning may hold one grid, never eleven
+    # has 1.1M points (8.8 MB), and planning sizes them all without building one
     cfg = ExperimentConfig(gamma=1.0, trials=1, eta=2e-7, n_min=0, n_max=10)
     grid_bytes = 8 * ScanGrid(*_tile(cfg, 10), cfg.eta, cfg.gamma)._points(2).size
     tracemalloc.start()
@@ -300,6 +310,7 @@ def test_table_groups_hold_no_grids():
     assert len(plans) == 11
     assert not any(isinstance(x, np.ndarray) for p in plans for x in p)
     assert peak < 3 * grid_bytes
+    assert peak < 1_000_000
 
 
 def test_simulate_peak_memory_stays_near_one_table():
@@ -422,6 +433,18 @@ def test_tile_planner_detects_exact_boundaries():
             _tiles_for(q, r)
 
 
+def test_simulate_names_deep_cumulative_points_by_tile_count(monkeypatch):
+    # at q=0.9 and n ~ 138, log1p(-r) / log(q) strays more than 1e-9 from m,
+    # so r = 1-q^m cannot be mapped back to m; the counts are not needed here
+    monkeypatch.setattr(experiments_mod, "_scan", lambda config, tiles: (
+        [None] * len(tiles), np.zeros((len(tiles), config.trials), dtype=int)))
+    monkeypatch.setattr(experiments_mod, "_tiles_for", None)  # not on this path
+    cfg = ExperimentConfig(gamma=1.0, q=0.9, n_min=130, n_max=138, trials=2)
+    _, rep = _simulate(cfg)
+    assert rep.r_values == [1 - 0.9**m for m in range(131, 140)]
+    assert rep.cumulative_means == [0.0] * 9
+
+
 def test_cumulative_empty_r_list():
     rep = run_cumulative(small_config(), [])
     assert rep.r_values == [] and rep.points_fitted == 0
@@ -436,12 +459,17 @@ def test_cumulative_rejects_bad_r():
         run_cumulative(small_config(), [-0.1])
 
 
-def test_cumulative_matches_interval_sums_on_dyadic_grid():
+def test_cumulative_matches_interval_sums_on_dyadic_grid(monkeypatch):
     # one series per trial across the tiles: the cumulative mean is the sum of
-    # the tile means, and the stderr is that of each trial's summed count
+    # the tile means, and the stderr is that of each trial's summed count;
+    # each r is mapped to its tile count once
     cfg = ExperimentConfig(gamma=1.0, n_min=0, n_max=3, trials=50, master_seed=17)
     rs = [1 - 2.0**-k for k in range(1, 5)]
+    tiles_for, mapped = experiments_mod._tiles_for, []
+    monkeypatch.setattr(experiments_mod, "_tiles_for",
+                        lambda q, r: mapped.append(r) or tiles_for(q, r))
     rep = run_cumulative(cfg, rs)
+    assert mapped == rs
     ests = run_interval_experiment(cfg)
     partial_sums = np.cumsum([e.mean_count for e in ests])
     assert rep.cumulative_means == pytest.approx(list(partial_sums), rel=1e-12)

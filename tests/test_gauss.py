@@ -15,7 +15,7 @@ from taylorzeros.gauss import (
     rho_second_derivative,
     rho_second_derivative_fd,
 )
-from taylorzeros.roots import _u_grid, path_zero_counts
+from taylorzeros.roots import _u_grid_size, path_zero_counts
 from taylorzeros.sampling import trial_rng
 
 TWO_PI = 2.0 * math.pi
@@ -178,7 +178,8 @@ class TestPathSampler:
         windows += [(g, 0.02, 20) for g in (0.5, 1.0, 2.0)]
         for gamma, eta, periods in windows:
             b = math.exp(periods * TWO_PI)
-            spy.grid = (_u_grid(0.0, math.log(b), eta, gamma, cap=_MAX_PATH_GRID), gamma)
+            size = _u_grid_size(0.0, math.log(b), eta, gamma, cap=_MAX_PATH_GRID)
+            spy.grid = (np.linspace(0.0, math.log(b), size), gamma)
             experiments.run_gaussian_oracle(gamma, 1.0, b, trials=1, eta=eta)
             assert np.array_equal(built[-1].u, spy.grid[0])
         assert len(built) == len(windows) == len(gaps)
@@ -209,7 +210,8 @@ class TestPathSampler:
         # the benchmark's oracle grid, [0, 40 pi] at eta=0.005: 4001 points.
         # The factor is the one n x n array; the dense covariance built from
         # pairwise differences peaked at 4x that.
-        u = _u_grid(0.0, 40.0 * math.pi, 0.005, 1.0, cap=_MAX_PATH_GRID)
+        u = np.linspace(0.0, 40.0 * math.pi,
+                        _u_grid_size(0.0, 40.0 * math.pi, 0.005, 1.0, cap=_MAX_PATH_GRID))
         assert u.size == 4001
         tracemalloc.start()
         try:

@@ -54,6 +54,12 @@ class TestTruncation:
         with pytest.raises(OverflowError):
             truncation_degree(CoefficientSequence(150.0), policy)
 
+    def test_degree_is_capped_at_2_to_the_26(self):
+        # a weight vector and a draw hold K+1 floats each: 2^26 runs, 2^27 raises
+        assert truncation_degree(FLAT, TruncationPolicy(1 - 2**-22, 1e-6)) == 2**26
+        with pytest.raises(RuntimeError, match="exceeded 134217728 terms"):
+            truncation_degree(FLAT, TruncationPolicy(1 - 2**-23, 1e-6))
+
     def test_tiny_radius(self):
         assert truncation_degree(FLAT, TruncationPolicy(1e-7, 1e-6)) == 1
 
