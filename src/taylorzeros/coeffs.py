@@ -238,5 +238,5 @@ class CoefficientSequence:
         """
         if n < 1:
             raise ValueError("max_share needs n >= 1")
-        w = self.csq(np.arange(0, n + 1))
-        return float(np.max(w) / np.sum(w))
+        t = self._log_csq(np.arange(1.0, n + 1))
+        return float(1.0 / np.sum(np.exp(t - t.max())))

@@ -198,7 +198,7 @@ class UniversalityReport:
 def _table_groups(config: ExperimentConfig, tiles: range) -> list:
     """The tiles as plans of integers (row, n, ScanGrid, K, halved-grid points)
     in runs of consecutive tiles whose power tables fit together in the largest
-    one, or in one streamed block. Builds no grid: a tile's value buffer, halved
+    one, or in one kept block. Builds no grid: a tile's value buffer, halved
     grid by min(_CHUNK, trials) floats, over one _EVAL_BLOCK raises MemoryError."""
     cap = _EVAL_BLOCK // min(_CHUNK, config.trials)
     plans = []
@@ -221,7 +221,9 @@ def _group_values(config: ExperimentConfig, group: list):
     K(n) of the trial's one weight vector xi_k c_k, summed as `evaluate_many`
     sums it, bit for bit, but c_1 xi_1 at x = 0 (f vanishes there; this is the
     sign of f(x)/x as x -> 0+). A non-finite value raises EvaluationError."""
-    c = config.seq.coeff(np.arange(max(K for *_, K, _ in group) + 1))
+    c = np.empty(max(K for *_, K, _ in group) + 1)
+    for lo in range(0, c.size, _EVAL_BLOCK):  # c_k is elementwise: slices give its bits
+        c[lo : lo + _EVAL_BLOCK] = config.seq.coeff(np.arange(lo, min(c.size, lo + _EVAL_BLOCK)))
     tables = [(_PowerTable(grid._points(2), K), np.empty((size, min(_CHUNK, config.trials))))
               for _, _, grid, K, size in group]
     for lo in range(0, config.trials, _CHUNK):
@@ -232,6 +234,7 @@ def _group_values(config: ExperimentConfig, group: list):
                 v[:, j] = table.weighted_sum(w[: table.K + 1])
                 if table.xs[0] == 0.0:
                     v[0, j] = w[1]
+            del w  # freed before the next trial's draw
         yield lo, [_finite(table.xs, v[:, :m]) for table, v in tables]
 
 
@@ -263,10 +266,11 @@ def run_interval_experiment(config: ExperimentConfig, jobs: int = 1):
 
 
 def _tiles_for(q: float, r: float) -> int:
-    """The m >= 1 with r = 1-q^m (to 1e-9 in m); any other r raises ValueError."""
+    """The m >= 1 with r = 1-q^m (to 1e-9 in m, or exactly); any other r raises
+    ValueError. Where several m round to the same r, this is one of them."""
     v = math.log1p(-r) / math.log(q)
     m = round(v)
-    if m < 1 or not abs(v - m) < 1e-9:
+    if m < 1 or not (abs(v - m) < 1e-9 or 1.0 - q**m == r):
         raise ValueError(f"r={r} is not a tile boundary 1-q^m for q={q}")
     return m
 

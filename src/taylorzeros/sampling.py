@@ -6,10 +6,10 @@ discarded variance mass sum_{k>K} c_k^2 r^{2k} stays below delta^2 * v(r) up
 to the largest radius r that will ever be evaluated; relative to the series
 scale sqrt(v(x)) the truncation then perturbs values by O(delta) at most.
 
-Evaluation has one path: `SeriesSample.evaluate_many` sums blocked
-cumulative power tables (`_PowerTable`, which the experiments build once per
-scan). The tests pin it against a compensated Horner reference
-(tests/horner_reference.py) on every coefficient family they use.
+Evaluation has one path: `SeriesSample.evaluate_many` sums a `_PowerTable`
+(which the experiments build once per scan), one block of powers reused past
+its end. The tests pin it against a compensated Horner reference
+(tests/horner_reference.py) on every family they use, also at 4096-float blocks.
 
 Reproducibility: generators are counter-based (Philox) and every consumer
 in the package gets them from `trial_rng`, the one seed derivation, so a
@@ -37,7 +37,7 @@ __all__ = [
     "draw_sample",
 ]
 
-_EVAL_BLOCK = 1 << 24  # elements per cumulative-power block
+_EVAL_BLOCK = 1 << 24  # floats per power table, the one block it keeps
 _K_CAP = 1 << 27  # K <= 2^26: a weight vector and a draw are K+1 floats each
 
 _SQRT3 = math.sqrt(3.0)
@@ -129,11 +129,11 @@ class SeriesSample:
         return self.xi.size - 1
 
     def evaluate_many(self, xs) -> np.ndarray:
-        """f at an array of points, via blocked cumulative power tables.
+        """f at an array of points, via a `_PowerTable`.
 
-        Each block is summed by a BLAS vector-matrix product whose summation
-        order depends on the number of points, so f at a point can differ in
-        the last bits with the other points in the same call.
+        Each block of powers is summed by a BLAS vector-matrix product whose
+        summation order depends on the number of points, so f at a point can
+        differ in the last bits with the other points in the same call.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if np.any(xs < 0.0):
@@ -146,30 +146,24 @@ class SeriesSample:
 
 
 class _PowerTable:
-    """Rows xs^1..xs^K in blocks of at most _EVAL_BLOCK elements (one row at
-    least), summed against weight vectors. One block is built once and kept;
-    more are rebuilt per sum, so memory stays at one block."""
+    """Rows xs^1..xs^m, m = min(K, _EVAL_BLOCK // points) and one row at
+    least, built once and kept, so memory stays at one block. A sum past row
+    m reuses the block: rows lo..lo+m-1 are xs^(lo-1) times rows 1..m."""
 
     def __init__(self, xs: np.ndarray, K: int):
         self.xs, self.K = xs, K
-        self.rows = max(1, _EVAL_BLOCK // max(1, xs.size))
-        self.kept = list(self._blocks()) if K <= self.rows else None
-
-    def _blocks(self):
-        base = None  # xs^(lo-1), carried across blocks
-        for lo in range(1, self.K + 1, self.rows):
-            P = np.tile(self.xs, (min(self.rows, self.K - lo + 1), 1))
-            np.cumprod(P, axis=0, out=P)  # rows: xs^1 .. xs^m
-            if base is not None:
-                P *= base
-            base = P[-1].copy()
-            yield lo, P
+        P = np.tile(xs, (max(1, min(K, _EVAL_BLOCK // max(1, xs.size))), 1))
+        self.P = np.cumprod(P, axis=0, out=P)
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """sum_{k=0}^K w_k xs^k, one vector-matrix product per block."""
-        out = np.full(self.xs.shape, w[0], dtype=float)
-        for lo, P in self._blocks() if self.kept is None else self.kept:
-            out += w[lo : lo + len(P)] @ P
+        """sum_{k=0}^K w_k xs^k, one vector-matrix product per block of rows."""
+        P, K, m = self.P, self.K, len(self.P)
+        out = w[1 : m + 1] @ P[:K]  # no rows at K = 0
+        out += w[0]
+        base = P[-1]  # xs^(lo-1)
+        for lo in range(m + 1, K + 1, m):
+            out += base * (w[lo : lo + m] @ P[: K + 1 - lo])
+            base = base * P[-1]
         return out
 
 

@@ -171,6 +171,18 @@ class TestMaxShare:
             assert shares[-1] < 1e-2, seq
             assert all(s1 > s2 for s1, s2 in zip(shares, shares[1:])), seq
 
+    def test_finite_where_csq_overflows(self):
+        # at gamma=150, c_k^2 overflows a float for large k; the share does not
+        share = CoefficientSequence(150.0).max_share(2**20)
+        assert math.isfinite(share) and 0.0 < share <= 1.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_matches_the_direct_ratio(self, gamma, n):
+        w = CoefficientSequence(gamma).csq(np.arange(n + 1))
+        assert CoefficientSequence(gamma).max_share(n) == pytest.approx(
+            np.max(w) / np.sum(w), rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             CoefficientSequence(1.0).max_share(0)

@@ -272,8 +272,8 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
 @pytest.mark.parametrize("block", [None, 4096])
 @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
 def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
-    # a table of more than one block streams its blocks and holds one at a
-    # time, so one block caps the budget; block=4096 puts it below the deep tiles
+    # a table of more than one block keeps one block and reuses it, so one
+    # block caps the budget; block=4096 puts it below the deep tiles
     if block:
         monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", block)
     cfg = ExperimentConfig(gamma=1.0, q=q, trials=1)
@@ -289,10 +289,10 @@ def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
     sizes = [[K * size for *_, K, size in g] for g in groups]
     budget = min(max(map(max, sizes)), block or sampling_mod._EVAL_BLOCK)
     assert all(sum(s) <= budget or len(s) == 1 for s in sizes)
-    assert all(len(s) == 1 for s in sizes if max(s) > budget)  # streamed tables alone
+    assert all(len(s) == 1 for s in sizes if max(s) > budget)  # multi-block tables alone
     # a group is closed only when the next tile's table would not fit in it
     assert all(sum(s) + nxt[0] > budget for s, nxt in zip(sizes, sizes[1:]))
-    assert block or len(groups) < len(plans)  # unstreamed, some tiles share a draw
+    assert block or len(groups) < len(plans)  # one block each, some tiles share a draw
 
 
 def test_table_groups_hold_no_grids():
@@ -327,6 +327,36 @@ def test_simulate_peak_memory_stays_near_one_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * table_bytes
+
+
+def test_simulate_builds_each_power_table_once(monkeypatch):
+    # a 4096-float block puts tiles 5..10 past one block; each table's powers
+    # are still built once per scan, not once per block and trial
+    for mod in (sampling_mod, experiments_mod):
+        monkeypatch.setattr(mod, "_EVAL_BLOCK", 4096)
+    cumprod, calls = np.cumprod, []
+    monkeypatch.setattr(np, "cumprod", lambda *a, **kw: calls.append(1) or cumprod(*a, **kw))
+    _simulate(ExperimentConfig(gamma=1.0, trials=20))
+    assert len(calls) == 11
+
+
+def test_deep_group_peak_memory_per_term(monkeypatch):
+    # the coefficient vector is filled one block at a time and a trial's
+    # weight vector is freed before the next draw: c, the draw and w stay
+    # under 30 bytes per term (building c in one piece peaks at 40)
+    for mod in (sampling_mod, experiments_mod):
+        monkeypatch.setattr(mod, "_EVAL_BLOCK", 4096)
+    cfg = ExperimentConfig(gamma=1.0, trials=2)
+    group = next(g for g in _table_groups(cfg, range(11)) if g[-1][1] == 10)
+    K = max(K for *_, K, _ in group)
+    list(_group_values(cfg, group))  # warm-up
+    tracemalloc.start()
+    try:
+        list(_group_values(cfg, group))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * (K + 1)
 
 
 def test_scan_grid_past_its_bound_raises_before_allocating(monkeypatch):
@@ -431,6 +461,12 @@ def test_tile_planner_detects_exact_boundaries():
     for q, r in [(0.5, 0.7), (0.5, 0.75 + 1e-6), (0.25, 0.5), (0.5, 1e-12)]:
         with pytest.raises(ValueError, match=f"r={r} .* q={q}"):
             _tiles_for(q, r)
+    # at q=0.9, log1p(-r) / log(q) strays past 1e-9 from m from m=139 on; from
+    # m=331 on several m round to one r, and any of them names it
+    rs = [1 - 0.9**m for m in range(1, 400) if 1 - 0.9**m < 1]
+    for m, r in enumerate(rs, 1):
+        assert _tiles_for(0.9, r) == m or rs.count(r) > 1
+        assert 1 - 0.9 ** _tiles_for(0.9, r) == r
 
 
 def test_simulate_names_deep_cumulative_points_by_tile_count(monkeypatch):

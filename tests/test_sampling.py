@@ -5,6 +5,7 @@ import pytest
 
 from horner_reference import evaluate, evaluate_normalized
 from polycorpus import PRESETS
+import taylorzeros.sampling as sampling_mod
 from taylorzeros.coeffs import CoefficientSequence
 from taylorzeros.sampling import (
     CoefficientLaw,
@@ -138,8 +139,13 @@ class TestEvaluate:
                     naive += s.weights[k] * x**k
                 assert evaluate(s, float(x)) == pytest.approx(naive, rel=1e-10)
 
-    def test_grid_matches_scalar(self):
-        # the power-table sums against compensated Horner on every family
+    @pytest.mark.parametrize("block", [None, 4096])
+    def test_grid_matches_scalar(self, monkeypatch, block):
+        # the power-table sums against compensated Horner on every family; a
+        # 4096-float block holds 315 powers of the 13 points, so K=30000 sums
+        # 96 blocks through the kept one
+        if block:
+            monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", block)
         xs = np.linspace(0.01, 0.999, 13)
         for seq in PRESETS:
             s = draw_sample(seq, CoefficientLaw.GAUSSIAN, 5, 30_000)
