@@ -16,13 +16,13 @@ Four runners, one per question:
   noise: the limit does not feel the law).
 
 Reproducibility contract, for both loops: series trial t draws from
-`trial_rng(master_seed, t)`, the one seed derivation, once per table group
-(`_table_groups`; its plans are integers, and a group builds each tile's
-grid once, with its power tables), and tile n sums a prefix of its one
-weight vector, so a trial's tiles are one series; oracle path t is the t-th
-block of npoints normals of `trial_rng(seed)`. So counts depend on neither M
-nor `_CHUNK`, which sets memory only. Seeds do not depend on the law: reruns
-are bitwise identical, and cross-law comparisons are seed-coupled.
+`trial_rng(master_seed, t)`, one generator per table group (`_table_groups`,
+whose plans are integers), drawn a table block at a time; tile n sums a
+prefix of its weights, `_ROWS` trials per product of that fixed width, so a
+trial's tiles are one series whatever the other trials; oracle path t is the
+t-th block of npoints normals of `trial_rng(seed)`. So counts depend on
+neither M nor `_CHUNK`, which sets memory only. Seeds do not depend on the
+law: reruns are bitwise identical, and cross-law comparisons are seed-coupled.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .sampling import (
     TruncationPolicy,
     _EVAL_BLOCK,
     _PowerTable,
+    _ROWS,
     _check_delta,
     draw_sample,
     trial_rng,
@@ -198,9 +199,9 @@ class UniversalityReport:
 def _table_groups(config: ExperimentConfig, tiles: range) -> list:
     """The tiles as plans of integers (row, n, ScanGrid, K, halved-grid points)
     in runs of consecutive tiles whose power tables fit together in the largest
-    one, or in one kept block. Builds no grid: a tile's value buffer, halved
-    grid by min(_CHUNK, trials) floats, over one _EVAL_BLOCK raises MemoryError."""
-    cap = _EVAL_BLOCK // min(_CHUNK, config.trials)
+    one, or in one kept block. Builds no grid: a tile's value buffer, halved grid
+    by max(_ROWS, min(_CHUNK, trials)) floats, over one _EVAL_BLOCK raises MemoryError."""
+    cap = _EVAL_BLOCK // max(_ROWS, min(_CHUNK, config.trials))
     plans = []
     for row, n in enumerate(tiles):
         grid = ScanGrid(1.0 - config.q**n, 1.0 - config.q ** (n + 1), config.eta, config.gamma)
@@ -218,23 +219,32 @@ def _table_groups(config: ExperimentConfig, tiles: range) -> list:
 def _group_values(config: ExperimentConfig, group: list):
     """(lo, values) per chunk of trials from lo, values[i] being tile group[i]
     on its halved grid, in a buffer the next chunk overwrites: the prefix to
-    K(n) of the trial's one weight vector xi_k c_k, summed as `evaluate_many`
-    sums it, bit for bit, but c_1 xi_1 at x = 0 (f vanishes there; this is the
-    sign of f(x)/x as x -> 0+). A non-finite value raises EvaluationError."""
-    c = np.empty(max(K for *_, K, _ in group) + 1)
-    for lo in range(0, c.size, _EVAL_BLOCK):  # c_k is elementwise: slices give its bits
-        c[lo : lo + _EVAL_BLOCK] = config.seq.coeff(np.arange(lo, min(c.size, lo + _EVAL_BLOCK)))
+    K(n) of the trial's weights xi_k c_k, drawn a table block at a time, summed
+    as `evaluate_many` sums them, bit for bit, but c_1 xi_1 at x = 0 (the sign
+    of f(x)/x as x -> 0+). A non-finite value raises EvaluationError."""
     tables = [(_PowerTable(grid._points(2), K), np.empty((size, min(_CHUNK, config.trials))))
               for _, _, grid, K, size in group]
+    spans = tables[-1][0].spans()  # the group's largest K
+    if any(t.spans() != [(a, min(b, t.K + 1)) for a, b in spans if a <= t.K] for t, _ in tables):
+        raise RuntimeError("the power tables of a table group must share block boundaries")
+    c = np.empty(spans[-1][1])
+    for a, b in spans:  # c_k is elementwise: slabs give its bits
+        c[a:b] = config.seq.coeff(np.arange(a, b))
+    W, outs = np.zeros((_ROWS, spans[0][1])), [np.empty((_ROWS, v.shape[0])) for _, v in tables]
     for lo in range(0, config.trials, _CHUNK):
         m = min(_CHUNK, config.trials - lo)
-        for j in range(m):
-            w = config.law.draw(trial_rng(config.master_seed, lo + j), c.size) * c
-            for table, v in tables:
-                v[:, j] = table.weighted_sum(w[: table.K + 1])
-                if table.xs[0] == 0.0:
-                    v[0, j] = w[1]
-            del w  # freed before the next trial's draw
+        for s in range(lo, lo + m, _ROWS):
+            rngs = [trial_rng(config.master_seed, t) for t in range(s, min(s + _ROWS, lo + m))]
+            W[len(rngs) :] = 0.0  # a short stack's zero rows
+            for a, b in spans:
+                for row, rng in zip(W, rngs):
+                    row[: b - a] = config.law.draw(rng, b - a) * c[a:b]
+                for (table, _), out in zip(tables, outs):
+                    table.add(out, a, W[:, : b - a])
+                    if a == 0 and table.xs[0] == 0.0:
+                        out[:, 0] = W[:, 1]  # later blocks add exact zeros at x = 0
+            for (_, v), out in zip(tables, outs):
+                v[:, s - lo : s - lo + len(rngs)] = out[: len(rngs)].T
         yield lo, [_finite(table.xs, v[:, :m]) for table, v in tables]
 
 

@@ -6,9 +6,9 @@ discarded variance mass sum_{k>K} c_k^2 r^{2k} stays below delta^2 * v(r) up
 to the largest radius r that will ever be evaluated; relative to the series
 scale sqrt(v(x)) the truncation then perturbs values by O(delta) at most.
 
-Evaluation has one path: `SeriesSample.evaluate_many` sums a `_PowerTable`
-(which the experiments build once per scan), one block of powers reused past
-its end. The tests pin it against a compensated Horner reference
+Evaluation has one path: a `_PowerTable` sums `_ROWS` weight vectors per
+product, one block of powers reused past its end (`evaluate_many` puts its
+one in row 0 of zeros). The tests pin it against a compensated Horner reference
 (tests/horner_reference.py) on every family they use, also at 4096-float blocks.
 
 Reproducibility: generators are counter-based (Philox) and every consumer
@@ -38,7 +38,9 @@ __all__ = [
 ]
 
 _EVAL_BLOCK = 1 << 24  # floats per power table, the one block it keeps
-_K_CAP = 1 << 27  # K <= 2^26: a weight vector and a draw are K+1 floats each
+_BLOCK_ROWS = 1 << 14  # powers per kept block at most: a block of weights is small
+_ROWS = 8  # weight vectors per matrix product, whatever the number of trials
+_K_CAP = 1 << 27  # K <= 2^26: the scan's coefficient vector is K+1 floats
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -51,6 +53,8 @@ class CoefficientLaw(enum.Enum):
     UNIFORM = "uniform"
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` variates; draws concatenate: draw(g, a) then draw(g, b) give
+        the values of draw(g', a + b), g' a fresh generator of g's seed."""
         if self is CoefficientLaw.RADEMACHER:
             return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
         if self is CoefficientLaw.GAUSSIAN:
@@ -129,9 +133,9 @@ class SeriesSample:
         return self.xi.size - 1
 
     def evaluate_many(self, xs) -> np.ndarray:
-        """f at an array of points, via a `_PowerTable`.
+        """f at an array of points: row 0 of a `_PowerTable` sum, as the scan.
 
-        Each block of powers is summed by a BLAS vector-matrix product whose
+        Each block of powers is summed by a BLAS matrix product whose
         summation order depends on the number of points, so f at a point can
         differ in the last bits with the other points in the same call.
         """
@@ -142,29 +146,37 @@ class SeriesSample:
             raise ValueError("series diverges at x >= 1")
         if self.policy is not None and np.any(xs > self.policy.r_max):
             raise ValueError(f"evaluation past truncation radius r_max={self.policy.r_max}")
-        return _PowerTable(xs, self.K).weighted_sum(self.weights)
+        table, out = _PowerTable(xs, self.K), np.empty((_ROWS, xs.size))
+        for lo, hi in table.spans():
+            table.add(out, lo, np.vstack((self.weights[lo:hi], np.zeros((_ROWS - 1, hi - lo)))))
+        return out[0]
 
 
 class _PowerTable:
-    """Rows xs^1..xs^m, m = min(K, _EVAL_BLOCK // points) and one row at
-    least, built once and kept, so memory stays at one block. A sum past row
-    m reuses the block: rows lo..lo+m-1 are xs^(lo-1) times rows 1..m."""
+    """Rows xs^1..xs^m, m = min(K, _BLOCK_ROWS, _EVAL_BLOCK // points) and one
+    row at least, built once and kept. Sums go one block of weights at a time:
+    w_0..w_m, then m at a time, rows lo..lo+m-1 being xs^(lo-1) times rows
+    1..m. Each block is one product of `_ROWS` weight rows, so a row's bits
+    depend on neither its position nor the other rows."""
 
     def __init__(self, xs: np.ndarray, K: int):
         self.xs, self.K = xs, K
-        P = np.tile(xs, (max(1, min(K, _EVAL_BLOCK // max(1, xs.size))), 1))
+        P = np.tile(xs, (max(1, min(K, _BLOCK_ROWS, _EVAL_BLOCK // max(1, xs.size))), 1))
         self.P = np.cumprod(P, axis=0, out=P)
 
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """sum_{k=0}^K w_k xs^k, one vector-matrix product per block of rows."""
-        P, K, m = self.P, self.K, len(self.P)
-        out = w[1 : m + 1] @ P[:K]  # no rows at K = 0
-        out += w[0]
-        base = P[-1]  # xs^(lo-1)
-        for lo in range(m + 1, K + 1, m):
-            out += base * (w[lo : lo + m] @ P[: K + 1 - lo])
-            base = base * P[-1]
-        return out
+    def spans(self) -> list:
+        """[lo, hi) of each block of weights, in the order `add` takes them."""
+        K, m = self.K, len(self.P)
+        return [(0, min(K, m) + 1)] + [(lo, min(lo + m, K + 1)) for lo in range(m + 1, K + 1, m)]
+
+    def add(self, out: np.ndarray, lo: int, W: np.ndarray):
+        """Sum w[:, k] xs^k, k = lo..min(K, lo + len - 1), into `out` (_ROWS by
+        points), W = w[:, lo:]: the block at lo = 0 sets `out`, later ones add."""
+        P, n = self.P, min(W.shape[1], self.K + 1 - lo)
+        if lo == 0:
+            out[:] = W[:, 1:n] @ P[: n - 1] + W[:, :1]
+        elif n > 0:
+            out += self.xs ** (lo - 1) * (W[:, :n] @ P[:n])
 
 
 def draw_sample(

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -192,8 +192,9 @@ def _engine_values(cfg, tiles):
 @pytest.mark.parametrize("n", [0, 4, 10])
 def test_engine_matches_evaluate_many_bitwise(law, n):
     # a scan of tiles 0..n: tiles in one table group share one draw per trial,
-    # at the group's largest K, and each must still match its own draw
-    cfg = small_config(law=law, trials=6)
+    # at the group's largest K, and each must still match its own draw; 9
+    # trials fill rows 0..7 of one product and row 0 of a second, zero-padded
+    cfg = small_config(law=law, trials=9)
     assert n == 0 or len(_table_groups(cfg, range(n + 1))[0]) > 1
     vals = _engine_values(cfg, range(n + 1))
     _, counts = _scan(cfg, range(n + 1))
@@ -215,16 +216,29 @@ def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
         assert np.array_equal(vals[n], _reference_values(cfg, n))
 
 
-@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17])
 def test_trial_values_do_not_depend_on_trial_count(m):
-    # trial t's values are a function of t alone, so M=m is a prefix of M=14;
-    # one matrix product over stacked trials fails this at m=1 and m=2
+    # trial t's values are a function of t alone, so M=m is a prefix of M=20;
+    # a product as wide as the trial count fails this at m=1 and m=2 (1, 2 and
+    # 3+ rows sum differently), so every product has _ROWS rows, zero-padded
     short = _engine_values(small_config(trials=m), range(11))
-    long = _engine_values(small_config(trials=14), range(11))
+    long = _engine_values(small_config(trials=20), range(11))
     for n in range(11):
         assert np.array_equal(long[n][:, :m], short[n])
         assert np.array_equal(path_zero_counts(long[n][::2])[:m],
                               path_zero_counts(short[n][::2]))
+
+
+def test_group_tables_must_share_block_boundaries(monkeypatch):
+    # a scan's tiles all span log(1/q) in u, so a group's halved grids have one
+    # size and its tables one block length; a group without it would sum a
+    # tile in other blocks than evaluate_many does, so the scan refuses it
+    monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", 64)
+    cfg = small_config(trials=3)
+    (row, n, grid, K, _), *rest = _table_groups(cfg, range(5))[0]
+    finer = replace(grid, eta=grid.eta / 2)
+    with pytest.raises(RuntimeError, match="share block boundaries"):
+        list(_group_values(cfg, [(row, n, finer, K, finer._size(2))] + rest))
 
 
 def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
@@ -242,15 +256,22 @@ def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
 
 
 def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
-    # the preset's scan of tiles 0..10 has two groups, 0..9 and 10: 2M draws
-    # (one per tile and trial is 11M), and K and the grid are worked out once
-    # per tile; planning sizes the grids without building them
-    draw, degree, points = CoefficientLaw.draw, experiments_mod.truncation_degree, ScanGrid._points
-    sizes, degrees, grids = [], [], []
+    # the preset's scan of tiles 0..10 has two groups, 0..9 and 10: 2M trial
+    # generators (one per tile and trial is 11M), each drawing exactly its
+    # group's K+1 variates, one table block at a time; K and the grid are
+    # worked out once per tile; planning sizes the grids without building them
+    draw, rng, degree, points = (CoefficientLaw.draw, experiments_mod.trial_rng,
+                                 experiments_mod.truncation_degree, ScanGrid._points)
+    variates, degrees, grids = {}, [], []
 
-    def counting_draw(self, rng, size):
-        sizes.append(size)
-        return draw(self, rng, size)
+    def counting_rng(*args):
+        g = rng(*args)
+        variates[g] = 0
+        return g
+
+    def counting_draw(self, g, size):
+        variates[g] += size
+        return draw(self, g, size)
 
     def counting_degree(seq, policy):
         degrees.append(degree(seq, policy))
@@ -260,13 +281,15 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
         grids.append(self)
         return points(self, *args)
 
+    monkeypatch.setattr(experiments_mod, "trial_rng", counting_rng)
     monkeypatch.setattr(CoefficientLaw, "draw", counting_draw)
     monkeypatch.setattr(experiments_mod, "truncation_degree", counting_degree)
     monkeypatch.setattr(ScanGrid, "_points", counting_points)
     _simulate(ExperimentConfig(gamma=1.0, trials=5))
     assert len(degrees) == 11
     assert len(grids) == len(set(grids)) == 11
-    assert sorted(sizes) == [degrees[9] + 1] * 5 + [degrees[10] + 1] * 5
+    assert len(variates) == 10
+    assert sorted(variates.values()) == [degrees[9] + 1] * 5 + [degrees[10] + 1] * 5
 
 
 @pytest.mark.parametrize("block", [None, 4096])
@@ -341,9 +364,10 @@ def test_simulate_builds_each_power_table_once(monkeypatch):
 
 
 def test_deep_group_peak_memory_per_term(monkeypatch):
-    # the coefficient vector is filled one block at a time and a trial's
-    # weight vector is freed before the next draw: c, the draw and w stay
-    # under 30 bytes per term (building c in one piece peaks at 40)
+    # the coefficient vector is filled one table block at a time and the
+    # weights are drawn one block at a time: c and the blocks stay under 14
+    # bytes per term (whole draws and weight vectors peak at 25, building c
+    # in one piece at 40)
     for mod in (sampling_mod, experiments_mod):
         monkeypatch.setattr(mod, "_EVAL_BLOCK", 4096)
     cfg = ExperimentConfig(gamma=1.0, trials=2)
@@ -356,23 +380,26 @@ def test_deep_group_peak_memory_per_term(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30 * (K + 1)
+    assert peak < 14 * (K + 1)
 
 
 def test_scan_grid_past_its_bound_raises_before_allocating(monkeypatch):
-    # a tile's value buffer, halved grid by min(_CHUNK, M) floats, must fit one
+    # a tile's value buffer, halved grid by max(_ROWS, min(_CHUNK, M)) floats
+    # (one trial is still summed in an 8-row product), must fit one
     # _EVAL_BLOCK; at 16 points eta=0.005's 47-point tiles raise MemoryError
     # before any grid, power table or buffer is built
-    monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", 16 * experiments_mod._CHUNK)
-    cfg = small_config(n_min=0, n_max=3, trials=256, eta=0.005)
-    tracemalloc.start()
-    try:
-        with pytest.raises(MemoryError, match="over 16 points"):
-            run_interval_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 256 * 8  # under one 64-point buffer
+    for trials in (256, 1):
+        width = max(sampling_mod._ROWS, min(experiments_mod._CHUNK, trials))
+        monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", 16 * width)
+        cfg = small_config(n_min=0, n_max=3, trials=trials, eta=0.005)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="over 16 points"):
+                run_interval_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 256 * 8  # under one 64-point buffer
 
 
 def test_tile_rows_do_not_depend_on_which_tiles_run():

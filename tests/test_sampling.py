@@ -96,6 +96,16 @@ class TestDrawing:
             long = draw_sample(FLAT, law, 7, 600)
             assert np.array_equal(long.xi[:301], short.xi)
 
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("a", [1, 2, 7, 8])
+    def test_draws_concatenate(self, law, a):
+        # the scan draws a series one table block at a time from one
+        # generator; Rademacher's 32-bit draws hold half a 64-bit word over
+        # to the next call, which an odd split point exercises
+        g = trial_rng(3, 1)
+        parts = np.concatenate([law.draw(g, a), law.draw(g, 13)])
+        assert np.array_equal(parts, law.draw(trial_rng(3, 1), a + 13))
+
     def test_distinct_trial_streams(self):
         r1 = trial_rng(9, 0, 1).standard_normal(8)
         r2 = trial_rng(9, 0, 2).standard_normal(8)
