@@ -16,13 +16,13 @@ Four runners, one per question:
   noise: the limit does not feel the law).
 
 Reproducibility contract, for both loops: series trial t draws from
-`trial_rng(master_seed, t)`, one generator per table group (`_table_groups`,
-whose plans are integers), drawn a table block at a time; tile n sums a
-prefix of its weights, `_ROWS` trials per product of that fixed width, so a
-trial's tiles are one series whatever the other trials; oracle path t is the
-t-th block of npoints normals of `trial_rng(seed)`. So counts depend on
-neither M nor `_CHUNK`, which sets memory only. Seeds do not depend on the
-law: reruns are bitwise identical, and cross-law comparisons are seed-coupled.
+`trial_rng(master_seed, t)`, one generator per table group (`_table_groups`: tiles
+whose tables keep one block of floats at most; at the CLI's grids, all), a table
+block at a time; tile n sums a prefix of its weights, `_ROWS` trials per product
+of that fixed width, so a trial's tiles are one series whatever the other trials;
+oracle path t is the t-th block of npoints normals of `trial_rng(seed)`. So counts
+depend on neither M, `_CHUNK` nor the grouping. Seeds do not depend on the law:
+reruns are bitwise identical, and cross-law comparisons are seed-coupled.
 """
 
 from __future__ import annotations
@@ -197,22 +197,22 @@ class UniversalityReport:
 
 
 def _table_groups(config: ExperimentConfig, tiles: range) -> list:
-    """The tiles as plans of integers (row, n, ScanGrid, K, halved-grid points)
-    in runs of consecutive tiles whose power tables fit together in the largest
-    one, or in one kept block. Builds no grid: a tile's value buffer, halved grid
-    by max(_ROWS, min(_CHUNK, trials)) floats, over one _EVAL_BLOCK raises MemoryError."""
+    """The tiles as plans of integers (row, n, ScanGrid, K, halved-grid points) in
+    runs of consecutive tiles whose power tables, in the floats `_PowerTable.rows`
+    keeps, fit together in one _EVAL_BLOCK. Builds no grid: a tile's value buffer,
+    halved grid by max(_ROWS, min(_CHUNK, trials)) floats, over it raises MemoryError."""
     cap = _EVAL_BLOCK // max(_ROWS, min(_CHUNK, config.trials))
-    plans = []
+    groups, used = [], 0
     for row, n in enumerate(tiles):
         grid = ScanGrid(1.0 - config.q**n, 1.0 - config.q ** (n + 1), config.eta, config.gamma)
         K = truncation_degree(config.seq, TruncationPolicy(grid.b, config.delta))
-        plans.append((row, n, grid, K, grid._size(2, cap)))
-    budget = min(_EVAL_BLOCK, max((K * size for *_, K, size in plans), default=0))
-    groups = []
-    for plan in plans:
-        if not groups or sum(K * size for *_, K, size in groups[-1] + [plan]) > budget:
+        size = grid._size(2, cap)
+        floats = _PowerTable.rows(K, size) * size
+        if not groups or used + floats > _EVAL_BLOCK:
             groups.append([])
-        groups[-1].append(plan)
+            used = 0
+        groups[-1].append((row, n, grid, K, size))
+        used += floats
     return groups
 
 
@@ -249,9 +249,9 @@ def _group_values(config: ExperimentConfig, group: list):
 
 
 def _scan(config: ExperimentConfig, tiles: range):
-    """Each tile's estimate, and counts[i, t]: the zeros of trial t's series on
-    tile tiles[i] from the grid's own points, plus on tile 0 the zero at x = 0
-    that every path has. One draw per trial per `_table_groups` group."""
+    """Each tile's estimate, and counts[i, t]: trial t's zeros on tile tiles[i]
+    from the grid's own points, plus on tile 0 the zero at x = 0 that every path
+    has. One draw per trial per `_table_groups` group; the CLI's grids make one."""
     target = interval_target(config.gamma, config.q)
     counts = np.empty((len(tiles), config.trials), dtype=int)
     unstable = np.zeros(len(tiles), dtype=int)

@@ -153,16 +153,21 @@ class SeriesSample:
 
 
 class _PowerTable:
-    """Rows xs^1..xs^m, m = min(K, _BLOCK_ROWS, _EVAL_BLOCK // points) and one
-    row at least, built once and kept. Sums go one block of weights at a time:
+    """Rows xs^1..xs^m, m = `rows(K, points)`, built once and kept: the table
+    holds m * points floats whatever K. Sums go one block of weights at a time:
     w_0..w_m, then m at a time, rows lo..lo+m-1 being xs^(lo-1) times rows
     1..m. Each block is one product of `_ROWS` weight rows, so a row's bits
     depend on neither its position nor the other rows."""
 
     def __init__(self, xs: np.ndarray, K: int):
         self.xs, self.K = xs, K
-        P = np.tile(xs, (max(1, min(K, _BLOCK_ROWS, _EVAL_BLOCK // max(1, xs.size))), 1))
+        P = np.tile(xs, (self.rows(K, xs.size), 1))
         self.P = np.cumprod(P, axis=0, out=P)
+
+    @staticmethod
+    def rows(K: int, points: int) -> int:
+        """Powers kept for K terms on `points` points: one block, one row at least."""
+        return max(1, min(K, _BLOCK_ROWS, _EVAL_BLOCK // max(1, points)))
 
     def spans(self) -> list:
         """[lo, hi) of each block of weights, in the order `add` takes them."""

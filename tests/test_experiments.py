@@ -28,6 +28,7 @@ from taylorzeros.roots import EvaluationError, ScanGrid, count_zeros, path_zero_
 from taylorzeros.sampling import (
     CoefficientLaw,
     TruncationPolicy,
+    _PowerTable,
     draw_sample,
     truncation_degree,
 )
@@ -255,22 +256,37 @@ def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
     assert [e.__dict__ for e in chunked_ests] == [e.__dict__ for e in ests]
 
 
+def test_table_grouping_moves_no_bit(monkeypatch):
+    # a smaller planner block splits tiles 0..10 into several groups (the
+    # tables keep their own block); each trial then draws its series once per
+    # group, and every value, count and estimate matches the one-group scan
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=20)
+    assert len(_table_groups(cfg, range(11))) == 1
+    vals, (ests, counts) = _engine_values(cfg, range(11)), _scan(cfg, range(11))
+    monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", 1 << 16)
+    assert len(_table_groups(cfg, range(11))) >= 4
+    split, (split_ests, split_counts) = _engine_values(cfg, range(11)), _scan(cfg, range(11))
+    assert all(np.array_equal(split[n], vals[n]) for n in range(11))
+    assert np.array_equal(split_counts, counts)
+    assert [e.__dict__ for e in split_ests] == [e.__dict__ for e in ests]
+
+
 def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
-    # the preset's scan of tiles 0..10 has two groups, 0..9 and 10: 2M trial
-    # generators (one per tile and trial is 11M), each drawing exactly its
-    # group's K+1 variates, one table block at a time; K and the grid are
-    # worked out once per tile; planning sizes the grids without building them
+    # the preset's scan of tiles 0..10 is one group: M trial generators (one
+    # per tile and trial is 11M), each drawing exactly K(10)+1 variates, one
+    # table block at a time; K and the grid are worked out once per tile;
+    # planning sizes the grids without building them
     draw, rng, degree, points = (CoefficientLaw.draw, experiments_mod.trial_rng,
                                  experiments_mod.truncation_degree, ScanGrid._points)
     variates, degrees, grids = {}, [], []
 
     def counting_rng(*args):
         g = rng(*args)
-        variates[g] = 0
+        variates[g] = []
         return g
 
     def counting_draw(self, g, size):
-        variates[g] += size
+        variates[g].append(size)
         return draw(self, g, size)
 
     def counting_degree(seq, policy):
@@ -288,15 +304,17 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
     _simulate(ExperimentConfig(gamma=1.0, trials=5))
     assert len(degrees) == 11
     assert len(grids) == len(set(grids)) == 11
-    assert len(variates) == 10
-    assert sorted(variates.values()) == [degrees[9] + 1] * 5 + [degrees[10] + 1] * 5
+    assert len(variates) == 5
+    assert [sum(v) for v in variates.values()] == [degrees[10] + 1] * 5
+    assert all(max(v) <= sampling_mod._BLOCK_ROWS + 1 for v in variates.values())
 
 
 @pytest.mark.parametrize("block", [None, 4096])
 @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
 def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
-    # a table of more than one block keeps one block and reuses it, so one
-    # block caps the budget; block=4096 puts it below the deep tiles
+    # the largest table keeps one block, so a group's tables, in the floats
+    # they keep, fit in one block; block=4096 lowers the planner's block only,
+    # so the deep tiles' tables are each over it
     if block:
         monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", block)
     cfg = ExperimentConfig(gamma=1.0, q=q, trials=1)
@@ -309,13 +327,13 @@ def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
         assert K == truncation_degree(cfg.seq, TruncationPolicy(b, cfg.delta))
         pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
         assert np.array_equal(grid._points(2), pts) and size == pts.size
-    sizes = [[K * size for *_, K, size in g] for g in groups]
-    budget = min(max(map(max, sizes)), block or sampling_mod._EVAL_BLOCK)
+    sizes = [[_PowerTable(grid._points(2), K).P.size for _, _, grid, K, _ in g] for g in groups]
+    budget = block or sampling_mod._EVAL_BLOCK
     assert all(sum(s) <= budget or len(s) == 1 for s in sizes)
-    assert all(len(s) == 1 for s in sizes if max(s) > budget)  # multi-block tables alone
+    assert all(len(s) == 1 for s in sizes if max(s) > budget)  # over a block: alone
     # a group is closed only when the next tile's table would not fit in it
     assert all(sum(s) + nxt[0] > budget for s, nxt in zip(sizes, sizes[1:]))
-    assert block or len(groups) < len(plans)  # one block each, some tiles share a draw
+    assert block or len(groups) == 1  # at the real block, one draw per trial
 
 
 def test_table_groups_hold_no_grids():
@@ -337,19 +355,19 @@ def test_table_groups_hold_no_grids():
 
 
 def test_simulate_peak_memory_stays_near_one_table():
-    # groups hold at most the largest table's floats: the peak reads about
-    # 1.6x the tile-10 table, and 2.7x with all eleven tables alive at once
+    # the preset's tiles are one group, whose tables together keep under one
+    # block of floats; the peak reads about 1.33x those tables (the rest is the
+    # 8-row weight block, c and one block's draw)
     cfg = ExperimentConfig(gamma=1.0, trials=50)
-    a, b = _tile(cfg, 10)
-    K = truncation_degree(cfg.seq, TruncationPolicy(b, cfg.delta))
-    table_bytes = 8 * K * ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2).size
+    (group,) = _table_groups(cfg, range(11))
+    table_bytes = sum(_PowerTable(grid._points(2), K).P.nbytes for _, _, grid, K, _ in group)
     tracemalloc.start()
     try:
         _simulate(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * table_bytes
+    assert peak < 1.4 * table_bytes
 
 
 def test_simulate_builds_each_power_table_once(monkeypatch):
