@@ -15,20 +15,21 @@ Four runners, one per question:
   laws, reporting pairwise mean differences (which should vanish within
   noise: the limit does not feel the law).
 
-Reproducibility contract, for both loops: series trial t draws from
-`trial_rng(master_seed, t)`, one generator per table group (`_table_groups`: tiles
-whose tables keep one block of floats at most; at the CLI's grids, all), a table
-block at a time; tile n sums a prefix of its weights, `_ROWS` trials per product
-of that fixed width, so a trial's tiles are one series whatever the other trials;
-oracle path t is the t-th block of npoints normals of `trial_rng(seed)`. So counts
-depend on neither M, `_CHUNK` nor the grouping. Seeds do not depend on the law:
-reruns are bitwise identical, and cross-law comparisons are seed-coupled.
+Reproducibility contract, for both loops: series trial t draws the stream of
+`trial_rng(master_seed, t)` once per table group (`_table_groups`: tiles whose
+tables keep one block of floats at most; at the CLI's grids, all), a table
+block at a time, from one of `_ROWS` generators re-keyed to it (`trial_keys`
+hashes a chunk's keys at once, `_rekey` restarts a generator on one); tile n
+sums a prefix of its weights, `_ROWS` trials per product of that fixed width,
+so a trial's tiles are one series whatever the other trials; oracle path t is
+the t-th block of npoints normals of `trial_rng(seed)`. So counts depend on
+neither M, `_CHUNK` nor the grouping. Seeds do not depend on the law: reruns
+are bitwise identical, and cross-law comparisons are seed-coupled.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -46,7 +47,10 @@ from .sampling import (
     _PowerTable,
     _ROWS,
     _check_delta,
+    _is_int,
+    _rekey,
     draw_sample,
+    trial_keys,
     trial_rng,
     truncation_degree,
 )
@@ -69,8 +73,9 @@ _CHUNK = 256  # trials, or oracle paths, per value buffer: sets memory, not resu
 
 
 def _check_trials(trials: int):
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    # a trial index is one 32-bit spawn word of its seed (`trial_keys`)
+    if not (_is_int(trials) and 1 <= trials <= 2**32):
+        raise ValueError(f"trials must be an integer in [1, 2**32], got {trials!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class ExperimentConfig:
         if not isinstance(self.law, CoefficientLaw):
             raise ValueError(f"law must be a CoefficientLaw, got {self.law!r}")
         for name in ("n_min", "n_max", "master_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 <= self.n_min <= self.n_max):
             raise ValueError(
@@ -231,10 +236,14 @@ def _group_values(config: ExperimentConfig, group: list):
     for a, b in spans:  # c_k is elementwise: slabs give its bits
         c[a:b] = config.seq.coeff(np.arange(a, b))
     W, outs = np.zeros((_ROWS, spans[0][1])), [np.empty((_ROWS, v.shape[0])) for _, v in tables]
+    gens = [trial_rng(0) for _ in range(_ROWS)]  # re-keyed to each trial's stream
     for lo in range(0, config.trials, _CHUNK):
         m = min(_CHUNK, config.trials - lo)
-        for s in range(lo, lo + m, _ROWS):
-            rngs = [trial_rng(config.master_seed, t) for t in range(s, min(s + _ROWS, lo + m))]
+        keys = trial_keys(config.master_seed, np.arange(lo, lo + m))
+        for s in range(0, m, _ROWS):
+            rngs = gens[: min(_ROWS, m - s)]
+            for rng, key in zip(rngs, keys[s:]):
+                _rekey(rng, key)
             W[len(rngs) :] = 0.0  # a short stack's zero rows
             for a, b in spans:
                 for row, rng in zip(W, rngs):
@@ -244,7 +253,7 @@ def _group_values(config: ExperimentConfig, group: list):
                     if a == 0 and table.xs[0] == 0.0:
                         out[:, 0] = W[:, 1]  # later blocks add exact zeros at x = 0
             for (_, v), out in zip(tables, outs):
-                v[:, s - lo : s - lo + len(rngs)] = out[: len(rngs)].T
+                v[:, s : s + len(rngs)] = out[: len(rngs)].T
         yield lo, [_finite(table.xs, v[:, :m]) for table, v in tables]
 
 

@@ -11,8 +11,11 @@ product, one block of powers reused past its end (`evaluate_many` puts its
 one in row 0 of zeros). The tests pin it against a compensated Horner reference
 (tests/horner_reference.py) on every family they use, also at 4096-float blocks.
 
-Reproducibility: generators are counter-based (Philox) and every consumer
-in the package gets them from `trial_rng`, the one seed derivation, so a
+Reproducibility: generators are counter-based (Philox), and every Philox
+key in the package is numpy's `SeedSequence` hash of (seed, key), computed
+by `_philox_keys`: `trial_rng` builds one generator from it, and the scan
+hashes a chunk of trial indices at once with `trial_keys` and re-keys a few
+generators with `_rekey`, each then a fresh `trial_rng(seed, t)`. So a
 sample is a pure function of (sequence, law, seed, K) and the first K+1
 draws of a longer stream match the shorter one.
 """
@@ -20,6 +23,7 @@ draws of a longer stream match the shorter one.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -33,6 +37,7 @@ __all__ = [
     "TruncationPolicy",
     "SeriesSample",
     "trial_rng",
+    "trial_keys",
     "truncation_degree",
     "draw_sample",
 ]
@@ -43,6 +48,8 @@ _ROWS = 8  # weight vectors per matrix product, whatever the number of trials
 _K_CAP = 1 << 27  # K <= 2^26: the scan's coefficient vector is K+1 floats
 
 _SQRT3 = math.sqrt(3.0)
+
+_MASK32 = 0xFFFFFFFF
 
 
 class CoefficientLaw(enum.Enum):
@@ -62,8 +69,85 @@ class CoefficientLaw(enum.Enum):
         return rng.uniform(-_SQRT3, _SQRT3, size=size)
 
 
+def _is_int(x) -> bool:
+    """An integer, and not a bool: True is no count, seed or key."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _words(n, name: str) -> list:
+    """The uint32 words of n, least significant first, as `SeedSequence` reads
+    an int; n must be a nonnegative integer."""
+    if not (_is_int(n) and n >= 0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    n, words = int(n), []
+    while n or not words:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hashmix(h: int, mult: int):
+    """numpy's SeedSequence hashmix on uint32 arrays; each call moves the hash
+    constant h on by `mult`, as numpy does."""
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * mult & _MASK32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of pool word x with hashed word y."""
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _philox_keys(seed, spawn: np.ndarray) -> np.ndarray:
+    """(rows, 2) uint64 Philox keys: row i is what
+    `SeedSequence(seed, spawn_key=spawn[i]).generate_state(2, np.uint64)`
+    gives, spawn being (rows, words) uint32. This is numpy's hash (O'Neill's
+    seed_seq, pool size 4) on arrays: the seed's words, zero-padded to the
+    pool, then the spawn words, mixed into the pool. The hash constants move
+    alike for every row, so nothing branches per row, and the seed's words
+    are one row, broadcast against the spawn words."""
+    words = _words(seed, "seed")
+    entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy += list(spawn.T)
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(v) for v in entropy[:4]]
+    for i, j in itertools.permutations(range(4), 2):  # late words reach early ones
+        pool[j] = _mix(pool[j], hashmix(pool[i]))
+    for v in entropy[4:]:
+        for j in range(4):
+            pool[j] = _mix(pool[j], hashmix(v))
+    state = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool))  # generate_state's words
+    lo, hi = np.array(state[0::2], np.uint64), np.array(state[1::2], np.uint64)
+    return (lo | hi << np.uint64(32)).T  # each pair of words read as one little-endian uint64
+
+
+def trial_keys(seed, ts) -> np.ndarray:
+    """The Philox keys of `trial_rng(seed, t)` for the trial indices t in `ts`,
+    each in [0, 2^32), as a (len(ts), 2) uint64 array, hashed all at once."""
+    ts = np.asarray(ts)
+    if ts.ndim != 1 or ts.dtype.kind not in "iu" or (
+        ts.size and not 0 <= ts.min() <= ts.max() <= _MASK32
+    ):
+        raise ValueError("trial indices must be a 1-d integer array in [0, 2**32)")
+    return _philox_keys(seed, ts.astype(np.uint32)[:, None])
+
+
+def _rekey(gen: np.random.Generator, key) -> None:
+    """Restart `gen`, a Philox generator, as a fresh stream of `key` (a row of
+    `trial_keys`): counter 0, nothing buffered, no half word held over."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": key},
+                               "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def trial_rng(seed, *key: int) -> np.random.Generator:
-    """Counter-based generator for (seed, key).
+    """Counter-based generator for (seed, key): Philox keyed by
+    `SeedSequence(seed, spawn_key=key)`.
 
     `seed` is a nonnegative int, or a numpy SeedSequence when no key is given
     (callers running trial grids pass pre-derived sequences). Distinct keys
@@ -74,11 +158,10 @@ def trial_rng(seed, *key: int) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         if key:
             raise ValueError("a SeedSequence seed takes no key")
-    elif isinstance(seed, numbers.Integral) and seed >= 0:
-        seed = np.random.SeedSequence(seed, spawn_key=key)
-    else:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(seed))
+        return np.random.Generator(np.random.Philox(seed))
+    spawn = np.array([[w for k in key for w in _words(k, "key")]], dtype=np.uint32)
+    lo, hi = _philox_keys(seed, spawn)[0]
+    return np.random.Generator(np.random.Philox(key=int(lo) | int(hi) << 64))
 
 
 def _check_delta(delta: float):

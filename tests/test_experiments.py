@@ -64,6 +64,11 @@ def small_config(**kw):
         dict(master_seed=5.7),
         dict(master_seed=-1),
         dict(trials=2.5),
+        dict(trials=True),  # bools are ints to Python, never counts or seeds here
+        dict(master_seed=True),
+        dict(n_min=False),
+        dict(n_min=0, n_max=True),
+        dict(trials=2**32 + 1),  # a trial index is one 32-bit spawn word
         dict(n_min=1.5, n_max=2),
         dict(n_max=6.5),
         dict(slow="const"),  # a label, not a slow-variation object
@@ -206,6 +211,20 @@ def test_engine_matches_evaluate_many_bitwise(law, n):
         assert np.array_equal(counts[m], path_zero_counts(ref[::2]) + (m == 0))
 
 
+@pytest.mark.parametrize("seed, chunk, trials", [(2**32, None, 9), (2**64 - 1, None, 9),
+                                                  (99, 16, 19)])
+def test_engine_matches_evaluate_many_at_seed_edges(monkeypatch, seed, chunk, trials):
+    # the scan hashes its trial keys itself; two-word seeds, the largest seed,
+    # and a chunk boundary (keys of trials 16..18 hashed in a second pass)
+    # must still give every trial numpy's SeedSequence stream
+    if chunk:
+        monkeypatch.setattr(experiments_mod, "_CHUNK", chunk)
+    cfg = small_config(law=CoefficientLaw.RADEMACHER, trials=trials, master_seed=seed)
+    vals = _engine_values(cfg, range(5))
+    for n in range(5):
+        assert np.array_equal(vals[n], _reference_values(cfg, n))
+
+
 def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
     # 13 points and 64-element blocks: 4 powers per block, 128 blocks at K=512;
     # tiles 0..3 share a draw at K=256
@@ -272,21 +291,22 @@ def test_table_grouping_moves_no_bit(monkeypatch):
 
 
 def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
-    # the preset's scan of tiles 0..10 is one group: M trial generators (one
+    # the preset's scan of tiles 0..10 is one group: M trial streams (one
     # per tile and trial is 11M), each drawing exactly K(10)+1 variates, one
     # table block at a time; K and the grid are worked out once per tile;
-    # planning sizes the grids without building them
-    draw, rng, degree, points = (CoefficientLaw.draw, experiments_mod.trial_rng,
-                                 experiments_mod.truncation_degree, ScanGrid._points)
-    variates, degrees, grids = {}, [], []
+    # planning sizes the grids without building them. A stream starts where
+    # the scan re-keys one of its generators to a trial's key
+    draw, rekey, degree, points = (CoefficientLaw.draw, experiments_mod._rekey,
+                                   experiments_mod.truncation_degree, ScanGrid._points)
+    streams, current, degrees, grids = [], {}, [], []
 
-    def counting_rng(*args):
-        g = rng(*args)
-        variates[g] = []
-        return g
+    def counting_rekey(g, key):
+        rekey(g, key)
+        streams.append([])
+        current[g] = streams[-1]
 
     def counting_draw(self, g, size):
-        variates[g].append(size)
+        current[g].append(size)
         return draw(self, g, size)
 
     def counting_degree(seq, policy):
@@ -297,16 +317,16 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
         grids.append(self)
         return points(self, *args)
 
-    monkeypatch.setattr(experiments_mod, "trial_rng", counting_rng)
+    monkeypatch.setattr(experiments_mod, "_rekey", counting_rekey)
     monkeypatch.setattr(CoefficientLaw, "draw", counting_draw)
     monkeypatch.setattr(experiments_mod, "truncation_degree", counting_degree)
     monkeypatch.setattr(ScanGrid, "_points", counting_points)
     _simulate(ExperimentConfig(gamma=1.0, trials=5))
     assert len(degrees) == 11
     assert len(grids) == len(set(grids)) == 11
-    assert len(variates) == 5
-    assert [sum(v) for v in variates.values()] == [degrees[10] + 1] * 5
-    assert all(max(v) <= sampling_mod._BLOCK_ROWS + 1 for v in variates.values())
+    assert len(streams) == 5
+    assert [sum(v) for v in streams] == [degrees[10] + 1] * 5
+    assert all(max(v) <= sampling_mod._BLOCK_ROWS + 1 for v in streams)
 
 
 @pytest.mark.parametrize("block", [None, 4096])

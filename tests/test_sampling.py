@@ -11,7 +11,9 @@ from taylorzeros.sampling import (
     CoefficientLaw,
     SeriesSample,
     TruncationPolicy,
+    _rekey,
     draw_sample,
+    trial_keys,
     trial_rng,
     truncation_degree,
 )
@@ -119,11 +121,68 @@ class TestDrawing:
         assert np.array_equal(trial_rng(ss).standard_normal(8), want)
 
     def test_bad_seeds_raise_value_error(self):
-        for bad in (5.7, -1, "3", None):
+        for bad in (5.7, -1, "3", None, True, False, np.True_):
             with pytest.raises(ValueError):
                 trial_rng(bad)
+            with pytest.raises(ValueError):
+                trial_rng(3, bad)
+            with pytest.raises(ValueError):
+                trial_keys(bad, [0, 1])
         with pytest.raises(ValueError):
             trial_rng(np.random.SeedSequence(9), 0)
+        for ts in ([-1], [2**32], [[0, 1]], [0.0], np.array([True, False]), 3):
+            with pytest.raises(ValueError):
+                trial_keys(9, ts)
+
+
+def _listed(state: dict) -> dict:
+    """A bit generator's state with its arrays as lists, so == compares it."""
+    return {k: _listed(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+SEEDS = [0, 1, 2026, 2**32 - 1, 2**32, 2**63, 2**64 - 1]  # one and two entropy words
+
+
+class TestSeedHash:
+    # trial_keys and trial_rng compute numpy's SeedSequence hash themselves,
+    # so numpy's own SeedSequence is the reference they must match
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trial_keys_match_seed_sequence(self, seed):
+        ts = [0, 1, 255, 256, 257, 2**31, 2**32 - 1]
+        want = [np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(2, np.uint64)
+                for t in ts]
+        got = trial_keys(seed, np.array(ts, dtype=np.int64))
+        assert got.dtype == np.uint64 and got.shape == (len(ts), 2)
+        assert np.array_equal(got, want)
+        assert trial_keys(seed, np.arange(0)).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", SEEDS + [2**130 + 7])  # and five entropy words
+    @pytest.mark.parametrize("key", [(), (0,), (2**32 - 1,), (2**32,), (0, 1), (3, 2**40, 5)])
+    def test_trial_rng_matches_seed_sequence(self, seed, key):
+        ss = np.random.SeedSequence(seed, spawn_key=key)
+        want = np.random.Generator(np.random.Philox(ss))
+        got = trial_rng(seed, *key)
+        assert np.array_equal(got.bit_generator.state["state"]["key"],
+                              ss.generate_state(2, np.uint64))
+        assert np.array_equal(got.integers(0, 2**63, size=9), want.integers(0, 2**63, size=9))
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("used", [7, 1, 0])
+    def test_rekeyed_generator_is_a_fresh_trial_rng(self, law, used):
+        # an odd-length Rademacher draw holds half a 64-bit word over in
+        # has_uint32 and a Gaussian draw leaves Philox's buffer part read: a
+        # re-key must clear both, or the next stream starts on stale bits
+        g = trial_rng(5)
+        g.standard_normal(used)
+        law.draw(g, used)
+        for t in (3, 4, 2**32 - 1):
+            _rekey(g, trial_keys(2026, [t])[0])
+            want = trial_rng(2026, t)
+            assert _listed(g.bit_generator.state) == _listed(want.bit_generator.state)
+            assert np.array_equal(law.draw(g, 9), law.draw(want, 9))
+            assert np.array_equal(g.standard_normal(5), want.standard_normal(5))
 
 
 class TestEvaluate:
