@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSequence
+from .sampling import _is_int
 
 __all__ = [
     "TruncationError",
@@ -73,7 +74,7 @@ def _check_q(q: float):
 
 
 def _validate_nq(n: int, q: float):
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     _check_q(q)
 

@@ -247,7 +247,7 @@ def _group_values(config: ExperimentConfig, group: list):
             W[len(rngs) :] = 0.0  # a short stack's zero rows
             for a, b in spans:
                 for row, rng in zip(W, rngs):
-                    row[: b - a] = config.law.draw(rng, b - a) * c[a:b]
+                    row[: b - a] = config.law.draw(rng, a, b) * c[a:b]
                 for (table, _), out in zip(tables, outs):
                     table.add(out, a, W[:, : b - a])
                     if a == 0 and table.xs[0] == 0.0:

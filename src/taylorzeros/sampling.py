@@ -15,8 +15,10 @@ Reproducibility: generators are counter-based (Philox), and every Philox
 key in the package is numpy's `SeedSequence` hash of (seed, key), computed
 by `_philox_keys`: `trial_rng` builds one generator from it, and the scan
 hashes a chunk of trial indices at once with `trial_keys` and re-keys a few
-generators with `_rekey`, each then a fresh `trial_rng(seed, t)`. So a
-sample is a pure function of (sequence, law, seed, K) and the first K+1
+generators with `_rekey`, each then a fresh `trial_rng(seed, t)`. Rademacher
+sign k is bit k % 64 of the stream's (k // 64)-th 64-bit word, so a block of
+signs is read from its own position; the other laws continue the stream. So
+a sample is a pure function of (sequence, law, seed, K) and the first K+1
 draws of a longer stream match the shorter one.
 """
 
@@ -50,6 +52,7 @@ _K_CAP = 1 << 27  # K <= 2^26: the scan's coefficient vector is K+1 floats
 _SQRT3 = math.sqrt(3.0)
 
 _MASK32 = 0xFFFFFFFF
+_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 
 
 class CoefficientLaw(enum.Enum):
@@ -59,14 +62,24 @@ class CoefficientLaw(enum.Enum):
     GAUSSIAN = "gaussian"
     UNIFORM = "uniform"
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` variates; draws concatenate: draw(g, a) then draw(g, b) give
-        the values of draw(g', a + b), g' a fresh generator of g's seed."""
+    def draw(self, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+        """Variates lo..hi-1 of the stream of `rng`, a Philox generator. Rademacher
+        variate k is 1 - 2*bit, bit k % 64 of the stream's (k // 64)-th 64-bit word,
+        read from its own position; the other laws continue `rng`, so their draws
+        run from lo = 0, each from the last hi. Draws concatenate: draw(g, 0, a)
+        then draw(g, a, b) give draw(g', 0, b), g' a fresh generator of g's key."""
+        if not isinstance(rng.bit_generator, np.random.Philox):
+            raise TypeError(f"coefficient draws need a Philox generator, got {rng.bit_generator!r}")
         if self is CoefficientLaw.RADEMACHER:
-            return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
+            w = lo // 64  # the word holding bit lo; Philox makes words four at a time
+            _rekey(rng, rng.bit_generator.state["state"]["key"], w // 4)
+            words = rng.bit_generator.random_raw(w % 4 + (hi + 63) // 64 - w)[w % 4 :]
+            bytes_ = (words[:, None] >> _BYTE_SHIFTS).astype(np.uint8)  # low byte first
+            bits = np.unpackbits(bytes_, bitorder="little")[lo - 64 * w : hi - 64 * w]
+            return (1 - 2 * bits.view(np.int8)).astype(float)
         if self is CoefficientLaw.GAUSSIAN:
-            return rng.standard_normal(size)
-        return rng.uniform(-_SQRT3, _SQRT3, size=size)
+            return rng.standard_normal(hi - lo)
+        return rng.uniform(-_SQRT3, _SQRT3, size=hi - lo)
 
 
 def _is_int(x) -> bool:
@@ -138,10 +151,11 @@ def trial_keys(seed, ts) -> np.ndarray:
     return _philox_keys(seed, ts.astype(np.uint32)[:, None])
 
 
-def _rekey(gen: np.random.Generator, key) -> None:
-    """Restart `gen`, a Philox generator, as a fresh stream of `key` (a row of
-    `trial_keys`): counter 0, nothing buffered, no half word held over."""
-    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": key},
+def _rekey(gen: np.random.Generator, key, block: int = 0) -> None:
+    """Point `gen`, a Philox generator, at the stream of `key` (a row of
+    `trial_keys`) from 64-bit word 4 * block on, nothing buffered and no half
+    word held over; at block 0 it is a fresh stream."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (block, 0, 0, 0), "key": key},
                                "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
@@ -281,5 +295,5 @@ def draw_sample(
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    xi = law.draw(trial_rng(seed), K + 1)
+    xi = law.draw(trial_rng(seed), 0, K + 1)
     return SeriesSample(seq=seq, xi=xi, policy=policy)

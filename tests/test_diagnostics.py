@@ -57,6 +57,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             weights(FLAT, 2, 0.5, K=0)
 
+    @pytest.mark.parametrize("n", [True, np.True_])
+    def test_bool_scale_is_rejected(self, n):
+        # True is no scale: it read as n = 1, and a report row had n = True
+        with pytest.raises(ValueError, match="n must be an integer"):
+            weights(FLAT, n, 0.5, 64)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_weight_inequalities(FLAT, 0.5, [n])
+
 
 class TestRearrange:
     def test_sorted_and_same_multiset(self):

@@ -293,9 +293,10 @@ def test_table_grouping_moves_no_bit(monkeypatch):
 def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
     # the preset's scan of tiles 0..10 is one group: M trial streams (one
     # per tile and trial is 11M), each drawing exactly K(10)+1 variates, one
-    # table block at a time; K and the grid are worked out once per tile;
-    # planning sizes the grids without building them. A stream starts where
-    # the scan re-keys one of its generators to a trial's key
+    # table block at a time, each block from where the last ended; K and the
+    # grid are worked out once per tile; planning sizes the grids without
+    # building them. A stream starts where the scan re-keys one of its
+    # generators to a trial's key
     draw, rekey, degree, points = (CoefficientLaw.draw, experiments_mod._rekey,
                                    experiments_mod.truncation_degree, ScanGrid._points)
     streams, current, degrees, grids = [], {}, [], []
@@ -305,9 +306,10 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
         streams.append([])
         current[g] = streams[-1]
 
-    def counting_draw(self, g, size):
-        current[g].append(size)
-        return draw(self, g, size)
+    def counting_draw(self, g, lo, hi):
+        assert lo == sum(current[g])
+        current[g].append(hi - lo)
+        return draw(self, g, lo, hi)
 
     def counting_degree(seq, policy):
         degrees.append(degree(seq, policy))
@@ -464,9 +466,9 @@ def test_nonfinite_draw_raises_evaluation_error(monkeypatch):
     draw = CoefficientLaw.draw
     calls = []
 
-    def nan_on_third_trial(self, rng, size):
-        xi = draw(self, rng, size)
-        calls.append(size)
+    def nan_on_third_trial(self, rng, lo, hi):
+        xi = draw(self, rng, lo, hi)
+        calls.append(hi - lo)
         if len(calls) == 3:
             xi[1] = np.nan
         return xi

@@ -24,16 +24,23 @@ LAWS = list(CoefficientLaw)
 
 class TestLaws:
     def test_support(self):
-        rng = np.random.default_rng(0)
-        rad = CoefficientLaw.RADEMACHER.draw(rng, 1000)
+        rng = trial_rng(0)
+        rad = CoefficientLaw.RADEMACHER.draw(rng, 0, 1000)
         assert set(np.unique(rad)) == {-1.0, 1.0}
-        uni = CoefficientLaw.UNIFORM.draw(rng, 1000)
+        uni = CoefficientLaw.UNIFORM.draw(rng, 0, 1000)
         assert np.all(np.abs(uni) <= math.sqrt(3.0))
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_draws_need_a_philox_generator(self, law):
+        # the sign rule reads Philox words, and every generator the package
+        # makes is one; another bit generator is refused by name
+        with pytest.raises(TypeError, match="Philox"):
+            law.draw(np.random.default_rng(0), 0, 5)
 
     def test_mean_zero_unit_variance(self):
         # 4-sigma bands at n = 1e5
         for law in LAWS:
-            x = law.draw(np.random.default_rng(1), 100_000)
+            x = law.draw(trial_rng(1), 0, 100_000)
             assert abs(x.mean()) < 4.0 / math.sqrt(len(x))
             kurt_margin = 4.0 * math.sqrt(np.mean(x**4)) / math.sqrt(len(x))
             assert abs(x.var() - 1.0) < kurt_margin, law
@@ -99,14 +106,35 @@ class TestDrawing:
             assert np.array_equal(long.xi[:301], short.xi)
 
     @pytest.mark.parametrize("law", LAWS)
-    @pytest.mark.parametrize("a", [1, 2, 7, 8])
+    @pytest.mark.parametrize("a", [1, 2, 7, 8, 63, 64, 65, 16385])
     def test_draws_concatenate(self, law, a):
         # the scan draws a series one table block at a time from one
-        # generator; Rademacher's 32-bit draws hold half a 64-bit word over
-        # to the next call, which an odd split point exercises
+        # generator; a Rademacher block reads its signs from the 64-bit word
+        # holding bit a, which the last block read part of unless 64 divides
+        # a (the scan's blocks start at 16385, 32769, ...)
         g = trial_rng(3, 1)
-        parts = np.concatenate([law.draw(g, a), law.draw(g, 13)])
-        assert np.array_equal(parts, law.draw(trial_rng(3, 1), a + 13))
+        parts = np.concatenate([law.draw(g, 0, a), law.draw(g, a, a + 13)])
+        assert np.array_equal(parts, law.draw(trial_rng(3, 1), 0, a + 13))
+
+    def test_rademacher_signs_are_packed_philox_bits(self):
+        # variate k is 1 - 2*bit, bit k % 64 of the stream's (k // 64)-th
+        # 64-bit word, here read with Python ints whatever the byte order;
+        # any window of it is read from its own position, wherever the
+        # generator stands
+        raw = trial_rng(3, 1).bit_generator.random_raw(600)
+        want = np.array([1 - 2 * (int(raw[k // 64]) >> (k % 64) & 1) for k in range(600 * 64)])
+        g = trial_rng(3, 1)
+        assert np.array_equal(CoefficientLaw.RADEMACHER.draw(g, 0, want.size), want)
+        for lo, hi in [(16385, 32769), (5, 700), (63, 65), (256, 257), (9000, 9000), (0, 1)]:
+            assert np.array_equal(CoefficientLaw.RADEMACHER.draw(g, lo, hi), want[lo:hi])
+
+    def test_rademacher_signs_are_balanced_and_uncorrelated(self):
+        # 2^20 signs: mean and the lag-1 and lag-64 (word boundary)
+        # autocorrelations within 5/sqrt(n)
+        x = CoefficientLaw.RADEMACHER.draw(trial_rng(2026, 7), 0, 1 << 20)
+        for lag in (0, 1, 64):
+            stat = x.mean() if lag == 0 else np.mean(x[:-lag] * x[lag:])
+            assert abs(stat) < 5.0 / math.sqrt(x.size - lag), lag
 
     def test_distinct_trial_streams(self):
         r1 = trial_rng(9, 0, 1).standard_normal(8)
@@ -171,17 +199,19 @@ class TestSeedHash:
     @pytest.mark.parametrize("law", LAWS)
     @pytest.mark.parametrize("used", [7, 1, 0])
     def test_rekeyed_generator_is_a_fresh_trial_rng(self, law, used):
-        # an odd-length Rademacher draw holds half a 64-bit word over in
-        # has_uint32 and a Gaussian draw leaves Philox's buffer part read: a
-        # re-key must clear both, or the next stream starts on stale bits
+        # an odd-length 32-bit draw holds half a 64-bit word over in
+        # has_uint32, and a Gaussian draw or a Rademacher block leaves
+        # Philox's buffer part read: a re-key must clear both, or the next
+        # stream starts on stale bits
         g = trial_rng(5)
+        g.integers(0, 2, size=used)
         g.standard_normal(used)
-        law.draw(g, used)
+        law.draw(g, 0, used)
         for t in (3, 4, 2**32 - 1):
             _rekey(g, trial_keys(2026, [t])[0])
             want = trial_rng(2026, t)
             assert _listed(g.bit_generator.state) == _listed(want.bit_generator.state)
-            assert np.array_equal(law.draw(g, 9), law.draw(want, 9))
+            assert np.array_equal(law.draw(g, 0, 9), law.draw(want, 0, 9))
             assert np.array_equal(g.standard_normal(5), want.standard_normal(5))
 
 
@@ -271,7 +301,7 @@ class TestNormalized:
         pw = x ** np.arange(K + 1, dtype=float)
         rng = trial_rng(2024, 0)
         vals = np.empty(m)
-        for i in range(m):
-            xi = CoefficientLaw.RADEMACHER.draw(rng, K + 1)
+        for i in range(m):  # sample i is variates i(K+1)..(i+1)(K+1)-1 of one stream
+            xi = CoefficientLaw.RADEMACHER.draw(rng, i * (K + 1), (i + 1) * (K + 1))
             vals[i] = float(np.dot(xi * c, pw)) / root_v
         assert stats.normaltest(vals).pvalue > 0.01
