@@ -16,10 +16,10 @@ Four runners, one per question:
   noise: the limit does not feel the law).
 
 Reproducibility contract, for both loops: series trial t draws the stream of
-`trial_rng(master_seed, t)` once per table group (`_table_groups`: tiles whose
-tables keep one block of floats at most; at the CLI's grids, all), a table
-block at a time, from one of `_ROWS` generators re-keyed to it (`trial_keys`
-hashes a chunk's keys at once, `_rekey` restarts a generator on one); tile n
+`trial_rng(master_seed, t)`, counter block (0, 0, t, 0) of `Philox(master_seed)`,
+once per table group (`_table_groups`: tiles whose tables keep one block of
+floats at most; at the CLI's grids, all), a table block at a time, from one of
+`_ROWS` generators `_seek`s to it (the key is read once per group); tile n
 sums a prefix of its weights, `_ROWS` trials per product of that fixed width,
 so a trial's tiles are one series whatever the other trials; oracle path t is
 the t-th block of npoints normals of `trial_rng(seed)`. So counts depend on
@@ -48,9 +48,8 @@ from .sampling import (
     _ROWS,
     _check_delta,
     _is_int,
-    _rekey,
+    _seek,
     draw_sample,
-    trial_keys,
     trial_rng,
     truncation_degree,
 )
@@ -73,7 +72,8 @@ _CHUNK = 256  # trials, or oracle paths, per value buffer: sets memory, not resu
 
 
 def _check_trials(trials: int):
-    # a trial index is one 32-bit spawn word of its seed (`trial_keys`)
+    # any trial t < 2**64 has a stream (`trial_rng`); 2**32, the earlier seed
+    # rule's cap, stays so that no config's validity changed with the rule
     if not (_is_int(trials) and 1 <= trials <= 2**32):
         raise ValueError(f"trials must be an integer in [1, 2**32], got {trials!r}")
 
@@ -236,14 +236,14 @@ def _group_values(config: ExperimentConfig, group: list):
     for a, b in spans:  # c_k is elementwise: slabs give its bits
         c[a:b] = config.seq.coeff(np.arange(a, b))
     W, outs = np.zeros((_ROWS, spans[0][1])), [np.empty((_ROWS, v.shape[0])) for _, v in tables]
-    gens = [trial_rng(0) for _ in range(_ROWS)]  # re-keyed to each trial's stream
+    gens = [trial_rng(config.master_seed) for _ in range(_ROWS)]  # seeked to each trial
+    key = gens[0].bit_generator.state["state"]["key"]
     for lo in range(0, config.trials, _CHUNK):
         m = min(_CHUNK, config.trials - lo)
-        keys = trial_keys(config.master_seed, np.arange(lo, lo + m))
         for s in range(0, m, _ROWS):
             rngs = gens[: min(_ROWS, m - s)]
-            for rng, key in zip(rngs, keys[s:]):
-                _rekey(rng, key)
+            for t, rng in enumerate(rngs, lo + s):
+                _seek(rng, key, t)
             W[len(rngs) :] = 0.0  # a short stack's zero rows
             for a, b in spans:
                 for row, rng in zip(W, rngs):

@@ -11,21 +11,21 @@ product, one block of powers reused past its end (`evaluate_many` puts its
 one in row 0 of zeros). The tests pin it against a compensated Horner reference
 (tests/horner_reference.py) on every family they use, also at 4096-float blocks.
 
-Reproducibility: generators are counter-based (Philox), and every Philox
-key in the package is numpy's `SeedSequence` hash of (seed, key), computed
-by `_philox_keys`: `trial_rng` builds one generator from it, and the scan
-hashes a chunk of trial indices at once with `trial_keys` and re-keys a few
-generators with `_rekey`, each then a fresh `trial_rng(seed, t)`. Rademacher
-sign k is bit k % 64 of the stream's (k // 64)-th 64-bit word, so a block of
-signs is read from its own position; the other laws continue the stream. So
-a sample is a pure function of (sequence, law, seed, K) and the first K+1
-draws of a longer stream match the shorter one.
+Reproducibility: generators are counter-based (Philox). Trial t of a seed
+reads numpy's `Philox(seed)` from counter block (0, 0, t, 0), that is
+`Philox(seed).jumped(t)`: one key per seed, the trial in counter word 2, the
+position in word 0. `trial_rng(seed, t)` builds that generator; the scan
+reads the key once and `_seek`s a few generators from trial to trial.
+Rademacher sign k is bit k % 64 of the stream's (k // 64)-th 64-bit word and
+uniform variate k is read from word k, so a block of either is read from its
+own position; Gaussian draws continue the stream. So a sample is a pure
+function of (sequence, law, seed, t, K) and the first K+1 draws of a longer
+stream match the shorter one.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -39,7 +39,6 @@ __all__ = [
     "TruncationPolicy",
     "SeriesSample",
     "trial_rng",
-    "trial_keys",
     "truncation_degree",
     "draw_sample",
 ]
@@ -50,8 +49,6 @@ _ROWS = 8  # weight vectors per matrix product, whatever the number of trials
 _K_CAP = 1 << 27  # K <= 2^26: the scan's coefficient vector is K+1 floats
 
 _SQRT3 = math.sqrt(3.0)
-
-_MASK32 = 0xFFFFFFFF
 _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 
 
@@ -63,23 +60,31 @@ class CoefficientLaw(enum.Enum):
     UNIFORM = "uniform"
 
     def draw(self, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
-        """Variates lo..hi-1 of the stream of `rng`, a Philox generator. Rademacher
-        variate k is 1 - 2*bit, bit k % 64 of the stream's (k // 64)-th 64-bit word,
-        read from its own position; the other laws continue `rng`, so their draws
-        run from lo = 0, each from the last hi. Draws concatenate: draw(g, 0, a)
-        then draw(g, a, b) give draw(g', 0, b), g' a fresh generator of g's key."""
+        """Variates lo..hi-1 of the stream of `rng`, a `trial_rng` generator.
+        Rademacher variate k is 1 - 2*bit, bit k % 64 of the stream's (k // 64)-th
+        64-bit word, and uniform variate k is numpy's uniform on word k, each read
+        from its own position. Gaussian draws continue `rng`, so they run from
+        lo = 0, each from the last hi; one from lo > 0 on a generator that has
+        drawn nothing raises ValueError. Draws concatenate: draw(g, 0, a) then
+        draw(g, a, b) give draw(g', 0, b), g' a fresh generator of g's stream."""
         if not isinstance(rng.bit_generator, np.random.Philox):
             raise TypeError(f"coefficient draws need a Philox generator, got {rng.bit_generator!r}")
-        if self is CoefficientLaw.RADEMACHER:
-            w = lo // 64  # the word holding bit lo; Philox makes words four at a time
-            _rekey(rng, rng.bit_generator.state["state"]["key"], w // 4)
-            words = rng.bit_generator.random_raw(w % 4 + (hi + 63) // 64 - w)[w % 4 :]
-            bytes_ = (words[:, None] >> _BYTE_SHIFTS).astype(np.uint8)  # low byte first
-            bits = np.unpackbits(bytes_, bitorder="little")[lo - 64 * w : hi - 64 * w]
-            return (1 - 2 * bits.view(np.int8)).astype(float)
         if self is CoefficientLaw.GAUSSIAN:
+            if lo > 0:  # only then: a draw from 0 pays nothing for the check
+                s = rng.bit_generator.state
+                if not any(s["state"]["counter"][:2]) and s["buffer_pos"] == 4:
+                    raise ValueError(f"Gaussian variates run in stream order: variate {lo} "
+                                     "needs the ones before it drawn first")
             return rng.standard_normal(hi - lo)
-        return rng.uniform(-_SQRT3, _SQRT3, size=hi - lo)
+        if self is CoefficientLaw.UNIFORM:
+            _seek_word(rng, lo)
+            return rng.uniform(-_SQRT3, _SQRT3, size=hi - lo)
+        w = lo // 64  # the word holding bit lo
+        _seek_word(rng, w)
+        words = rng.bit_generator.random_raw((hi + 63) // 64 - w)
+        bytes_ = (words[:, None] >> _BYTE_SHIFTS).astype(np.uint8)  # low byte first
+        bits = np.unpackbits(bytes_, bitorder="little")[lo - 64 * w : hi - 64 * w]
+        return (1 - 2 * bits.view(np.int8)).astype(float)
 
 
 def _is_int(x) -> bool:
@@ -87,95 +92,39 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _words(n, name: str) -> list:
-    """The uint32 words of n, least significant first, as `SeedSequence` reads
-    an int; n must be a nonnegative integer."""
-    if not (_is_int(n) and n >= 0):
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-    n, words = int(n), []
-    while n or not words:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hashmix(h: int, mult: int):
-    """numpy's SeedSequence hashmix on uint32 arrays; each call moves the hash
-    constant h on by `mult`, as numpy does."""
-    def hashmix(v):
-        nonlocal h
-        v = v ^ np.uint32(h)
-        h = h * mult & _MASK32
-        v = v * np.uint32(h)
-        return v ^ (v >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x, y):
-    """numpy's SeedSequence mix of pool word x with hashed word y."""
-    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _philox_keys(seed, spawn: np.ndarray) -> np.ndarray:
-    """(rows, 2) uint64 Philox keys: row i is what
-    `SeedSequence(seed, spawn_key=spawn[i]).generate_state(2, np.uint64)`
-    gives, spawn being (rows, words) uint32. This is numpy's hash (O'Neill's
-    seed_seq, pool size 4) on arrays: the seed's words, zero-padded to the
-    pool, then the spawn words, mixed into the pool. The hash constants move
-    alike for every row, so nothing branches per row, and the seed's words
-    are one row, broadcast against the spawn words."""
-    words = _words(seed, "seed")
-    entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
-    entropy += list(spawn.T)
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(v) for v in entropy[:4]]
-    for i, j in itertools.permutations(range(4), 2):  # late words reach early ones
-        pool[j] = _mix(pool[j], hashmix(pool[i]))
-    for v in entropy[4:]:
-        for j in range(4):
-            pool[j] = _mix(pool[j], hashmix(v))
-    state = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool))  # generate_state's words
-    lo, hi = np.array(state[0::2], np.uint64), np.array(state[1::2], np.uint64)
-    return (lo | hi << np.uint64(32)).T  # each pair of words read as one little-endian uint64
-
-
-def trial_keys(seed, ts) -> np.ndarray:
-    """The Philox keys of `trial_rng(seed, t)` for the trial indices t in `ts`,
-    each in [0, 2^32), as a (len(ts), 2) uint64 array, hashed all at once."""
-    ts = np.asarray(ts)
-    if ts.ndim != 1 or ts.dtype.kind not in "iu" or (
-        ts.size and not 0 <= ts.min() <= ts.max() <= _MASK32
-    ):
-        raise ValueError("trial indices must be a 1-d integer array in [0, 2**32)")
-    return _philox_keys(seed, ts.astype(np.uint32)[:, None])
-
-
-def _rekey(gen: np.random.Generator, key, block: int = 0) -> None:
-    """Point `gen`, a Philox generator, at the stream of `key` (a row of
-    `trial_keys`) from 64-bit word 4 * block on, nothing buffered and no half
-    word held over; at block 0 it is a fresh stream."""
-    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (block, 0, 0, 0), "key": key},
+def _seek(gen: np.random.Generator, key, t: int, block: int = 0) -> None:
+    """Point `gen`, a Philox generator, at trial t's stream under `key` (the key
+    of `trial_rng(seed)`) from 64-bit word 4 * block on: counter (block, 0, t, 0),
+    nothing buffered and no half word held over. At block 0 it is a fresh
+    `trial_rng(seed, t)`."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (block, 0, t, 0), "key": key},
                                "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def trial_rng(seed, *key: int) -> np.random.Generator:
-    """Counter-based generator for (seed, key): Philox keyed by
-    `SeedSequence(seed, spawn_key=key)`.
+def _seek_word(rng: np.random.Generator, k: int) -> None:
+    """Point `rng`, a `trial_rng` generator, at 64-bit word k of its trial's stream."""
+    s = rng.bit_generator.state["state"]
+    _seek(rng, s["key"], s["counter"][2], k // 4)
+    rng.bit_generator.random_raw(k % 4)
 
-    `seed` is a nonnegative int, or a numpy SeedSequence when no key is given
-    (callers running trial grids pass pre-derived sequences). Distinct keys
-    give statistically independent streams; the derivation is a pure
-    function of its arguments, so any worker layout reproduces the same
-    per-trial draws.
+
+def trial_rng(seed, t: int = 0) -> np.random.Generator:
+    """Trial t's generator: numpy's Philox keyed by `seed`, a nonnegative int or
+    a numpy SeedSequence, from counter block (0, 0, t, 0), which is
+    `Philox(seed).jumped(t)`; `trial_rng(seed)` is `Philox(seed)`.
+
+    Trials share the seed's key and split its counter: trial t owns the 2^128
+    blocks whose word 2 is t, so distinct t < 2^64 read disjoint streams
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). A
+    stream is a pure function of (seed, t), so any worker layout or trial
+    order reproduces the same per-trial draws.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        if key:
-            raise ValueError("a SeedSequence seed takes no key")
-        return np.random.Generator(np.random.Philox(seed))
-    spawn = np.array([[w for k in key for w in _words(k, "key")]], dtype=np.uint32)
-    lo, hi = _philox_keys(seed, spawn)[0]
-    return np.random.Generator(np.random.Philox(key=int(lo) | int(hi) << 64))
+    if not (isinstance(seed, np.random.SeedSequence) or _is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer or a SeedSequence, got {seed!r}")
+    if not (_is_int(t) and 0 <= t < 2**64):
+        raise ValueError(f"trial index must be an integer in [0, 2**64), got {t!r}")
+    # counter (0, 0, t, 0) as one int: numpy casts a list's t >= 2**63 through a float
+    return np.random.Generator(np.random.Philox(seed, counter=int(t) << 128))
 
 
 def _check_delta(delta: float):
@@ -290,8 +239,8 @@ def draw_sample(
 ) -> SeriesSample:
     """Draw xi_0..xi_K from `law`; deterministic in (law, seed, K).
 
-    `seed` is anything `trial_rng` takes without a key. The same seed with a
-    larger K extends the sample: the first K+1 variates agree.
+    `seed` is a `trial_rng` seed, and the draw is trial 0's stream. The same
+    seed with a larger K extends the sample: the first K+1 variates agree.
     """
     if K < 0:
         raise ValueError("K must be >= 0")

@@ -27,9 +27,10 @@ from taylorzeros.reports import build_report, report_json_text
 from taylorzeros.roots import EvaluationError, ScanGrid, count_zeros, path_zero_counts
 from taylorzeros.sampling import (
     CoefficientLaw,
+    SeriesSample,
     TruncationPolicy,
     _PowerTable,
-    draw_sample,
+    trial_rng,
     truncation_degree,
 )
 
@@ -162,20 +163,20 @@ def _tile(cfg, n):
     return 1 - cfg.q**n, 1 - cfg.q ** (n + 1)
 
 
+def _trial_sample(cfg, t, K, policy):
+    """`draw_sample`'s series on trial t's stream, `trial_rng(master_seed, t)`."""
+    return SeriesSample(cfg.seq, cfg.law.draw(trial_rng(cfg.master_seed, t), 0, K + 1), policy)
+
+
 def _reference_values(cfg, n):
-    """Tile n's trial values the slow way: one draw_sample at tile n's own K
-    and one evaluate_many per trial, on trial t's stream
-    SeedSequence(master_seed, spawn_key=(t,)); at x = 0 on tile 0, where every
-    path vanishes, the engine's value c_1 xi_1."""
+    """Tile n's trial values the slow way: one draw at tile n's own K and one
+    evaluate_many per trial, on trial t's stream `trial_rng(master_seed, t)`;
+    at x = 0 on tile 0, where every path vanishes, the engine's value c_1 xi_1."""
     a, b = _tile(cfg, n)
     policy = TruncationPolicy(b, cfg.delta)
     K = truncation_degree(cfg.seq, policy)
     pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
-    samples = [
-        draw_sample(cfg.seq, cfg.law, np.random.SeedSequence(cfg.master_seed, spawn_key=(t,)),
-                    K, policy)
-        for t in range(cfg.trials)
-    ]
+    samples = [_trial_sample(cfg, t, K, policy) for t in range(cfg.trials)]
     ref = np.column_stack([s.evaluate_many(pts) for s in samples])
     if n == 0:  # f(0) = 0 on every path; the engine holds c_1 xi_1 there
         assert not ref[0].any()
@@ -214,9 +215,9 @@ def test_engine_matches_evaluate_many_bitwise(law, n):
 @pytest.mark.parametrize("seed, chunk, trials", [(2**32, None, 9), (2**64 - 1, None, 9),
                                                   (99, 16, 19)])
 def test_engine_matches_evaluate_many_at_seed_edges(monkeypatch, seed, chunk, trials):
-    # the scan hashes its trial keys itself; two-word seeds, the largest seed,
-    # and a chunk boundary (keys of trials 16..18 hashed in a second pass)
-    # must still give every trial numpy's SeedSequence stream
+    # the scan reads the seed's key once and seeks its generators from trial to
+    # trial; two-word seeds, the largest seed, and a chunk boundary (trials
+    # 16..18 in a second pass) must still give every trial its trial_rng stream
     if chunk:
         monkeypatch.setattr(experiments_mod, "_CHUNK", chunk)
     cfg = small_config(law=CoefficientLaw.RADEMACHER, trials=trials, master_seed=seed)
@@ -295,16 +296,17 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
     # per tile and trial is 11M), each drawing exactly K(10)+1 variates, one
     # table block at a time, each block from where the last ended; K and the
     # grid are worked out once per tile; planning sizes the grids without
-    # building them. A stream starts where the scan re-keys one of its
-    # generators to a trial's key
-    draw, rekey, degree, points = (CoefficientLaw.draw, experiments_mod._rekey,
-                                   experiments_mod.truncation_degree, ScanGrid._points)
-    streams, current, degrees, grids = [], {}, [], []
+    # building them. A stream starts where the scan seeks one of its
+    # generators to trial t, trials in order
+    draw, seek, degree, points = (CoefficientLaw.draw, experiments_mod._seek,
+                                  experiments_mod.truncation_degree, ScanGrid._points)
+    streams, current, degrees, grids, trials = [], {}, [], [], []
 
-    def counting_rekey(g, key):
-        rekey(g, key)
+    def counting_seek(g, key, t):
+        seek(g, key, t)
         streams.append([])
         current[g] = streams[-1]
+        trials.append(t)
 
     def counting_draw(self, g, lo, hi):
         assert lo == sum(current[g])
@@ -319,14 +321,14 @@ def test_simulate_draws_once_per_trial_per_table_group(monkeypatch):
         grids.append(self)
         return points(self, *args)
 
-    monkeypatch.setattr(experiments_mod, "_rekey", counting_rekey)
+    monkeypatch.setattr(experiments_mod, "_seek", counting_seek)
     monkeypatch.setattr(CoefficientLaw, "draw", counting_draw)
     monkeypatch.setattr(experiments_mod, "truncation_degree", counting_degree)
     monkeypatch.setattr(ScanGrid, "_points", counting_points)
     _simulate(ExperimentConfig(gamma=1.0, trials=5))
     assert len(degrees) == 11
     assert len(grids) == len(set(grids)) == 11
-    assert len(streams) == 5
+    assert len(streams) == 5 and trials == list(range(5))
     assert [sum(v) for v in streams] == [degrees[10] + 1] * 5
     assert all(max(v) <= sampling_mod._BLOCK_ROWS + 1 for v in streams)
 
@@ -501,19 +503,20 @@ def test_deep_interval_mean_approaches_limit():
 
 
 def test_scan_stability_matches_count_zeros():
-    # at a coarse eta some trials count differently on the halved grid; the
-    # scan's unstable_fraction and counts are count_zeros' on each trial's
-    # own draw_sample (tile 0 differs at x = 0, where f vanishes)
-    cfg = small_config(law=CoefficientLaw.GAUSSIAN, eta=0.5, trials=40, master_seed=5)
+    # at gamma 64 and eta 2 each tile's grid is one gap holding 0.88 zeros on
+    # average, and about 60% of trials count differently on the halved grid of
+    # some tile 1..6, so all 40 stable has odds near 1e-17 whatever the seed; the
+    # scan's unstable_fraction and counts are count_zeros' on each trial's own
+    # draw (tile 0 differs at x = 0, where f vanishes)
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, gamma=64.0, eta=2.0, trials=40, master_seed=5)
     ests, counts = _scan(cfg, range(7))
     assert any(e.unstable_fraction > 0 for e in ests[1:])
     for n in range(1, 7):
         a, b = _tile(cfg, n)
         policy = TruncationPolicy(b, cfg.delta)
         K = truncation_degree(cfg.seq, policy)
-        zcs = [count_zeros(draw_sample(cfg.seq, cfg.law, np.random.SeedSequence(
-            cfg.master_seed, spawn_key=(t,)), K, policy).evaluate_many,
-            ScanGrid(a, b, cfg.eta, cfg.gamma)) for t in range(cfg.trials)]
+        zcs = [count_zeros(_trial_sample(cfg, t, K, policy).evaluate_many,
+                           ScanGrid(a, b, cfg.eta, cfg.gamma)) for t in range(cfg.trials)]
         assert counts[n].tolist() == [z.count for z in zcs]
         assert ests[n].unstable_fraction == sum(not z.stable for z in zcs) / cfg.trials
 

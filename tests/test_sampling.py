@@ -11,9 +11,8 @@ from taylorzeros.sampling import (
     CoefficientLaw,
     SeriesSample,
     TruncationPolicy,
-    _rekey,
+    _seek,
     draw_sample,
-    trial_keys,
     trial_rng,
     truncation_degree,
 )
@@ -116,6 +115,17 @@ class TestDrawing:
         parts = np.concatenate([law.draw(g, 0, a), law.draw(g, a, a + 13)])
         assert np.array_equal(parts, law.draw(trial_rng(3, 1), 0, a + 13))
 
+    @pytest.mark.parametrize("law", LAWS)
+    def test_draws_out_of_stream_order(self, law):
+        # a Rademacher or uniform block is read from its own position, so a
+        # fresh generator's draw from 5 gives variates 5..9; a Gaussian draw
+        # continues its stream, so from 5 on a fresh generator it refuses
+        if law is CoefficientLaw.GAUSSIAN:
+            with pytest.raises(ValueError, match="stream order"):
+                law.draw(trial_rng(1), 5, 10)
+        else:
+            assert np.array_equal(law.draw(trial_rng(1), 5, 10), law.draw(trial_rng(1), 0, 10)[5:])
+
     def test_rademacher_signs_are_packed_philox_bits(self):
         # variate k is 1 - 2*bit, bit k % 64 of the stream's (k // 64)-th
         # 64-bit word, here read with Python ints whatever the byte order;
@@ -137,16 +147,16 @@ class TestDrawing:
             assert abs(stat) < 5.0 / math.sqrt(x.size - lag), lag
 
     def test_distinct_trial_streams(self):
-        r1 = trial_rng(9, 0, 1).standard_normal(8)
-        r2 = trial_rng(9, 0, 2).standard_normal(8)
-        r1b = trial_rng(9, 0, 1).standard_normal(8)
+        r1 = trial_rng(9, 1).standard_normal(8)
+        r2 = trial_rng(9, 2).standard_normal(8)
+        r1b = trial_rng(9, 1).standard_normal(8)
         assert np.array_equal(r1, r1b)
         assert not np.array_equal(r1, r2)
 
     def test_seed_sequence_matches_int_seed(self):
-        want = trial_rng(9, 0, 1).standard_normal(8)
-        ss = np.random.SeedSequence(9, spawn_key=(0, 1))
-        assert np.array_equal(trial_rng(ss).standard_normal(8), want)
+        want = trial_rng(9, 1).standard_normal(8)
+        ss = np.random.SeedSequence(9)
+        assert np.array_equal(trial_rng(ss, 1).standard_normal(8), want)
 
     def test_bad_seeds_raise_value_error(self):
         for bad in (5.7, -1, "3", None, True, False, np.True_):
@@ -155,12 +165,9 @@ class TestDrawing:
             with pytest.raises(ValueError):
                 trial_rng(3, bad)
             with pytest.raises(ValueError):
-                trial_keys(bad, [0, 1])
-        with pytest.raises(ValueError):
-            trial_rng(np.random.SeedSequence(9), 0)
-        for ts in ([-1], [2**32], [[0, 1]], [0.0], np.array([True, False]), 3):
-            with pytest.raises(ValueError):
-                trial_keys(9, ts)
+                trial_rng(np.random.SeedSequence(9), bad)
+        with pytest.raises(ValueError):  # past counter word 2
+            trial_rng(3, 2**64)
 
 
 def _listed(state: dict) -> dict:
@@ -170,49 +177,63 @@ def _listed(state: dict) -> dict:
 
 
 SEEDS = [0, 1, 2026, 2**32 - 1, 2**32, 2**63, 2**64 - 1]  # one and two entropy words
+TRIALS = [0, 1, 255, 256, 2**32 - 1]
 
 
 class TestSeedHash:
-    # trial_keys and trial_rng compute numpy's SeedSequence hash themselves,
-    # so numpy's own SeedSequence is the reference they must match
+    # a seed's Philox key is numpy's own SeedSequence hash of it, and trial t
+    # reads counter block (0, 0, t, 0) under that key, so numpy's public
+    # Philox(seed).jumped(t) is the reference, from an int or a SeedSequence
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_keys_match_seed_sequence(self, seed):
-        ts = [0, 1, 255, 256, 257, 2**31, 2**32 - 1]
-        want = [np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(2, np.uint64)
-                for t in ts]
-        got = trial_keys(seed, np.array(ts, dtype=np.int64))
-        assert got.dtype == np.uint64 and got.shape == (len(ts), 2)
-        assert np.array_equal(got, want)
-        assert trial_keys(seed, np.arange(0)).shape == (0, 2)
+        # every trial has the seed's key; only counter word 2 tells trials apart
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        for t in TRIALS + [2**63, 2**64 - 1]:
+            for s in (seed, np.random.SeedSequence(seed)):
+                state = trial_rng(s, t).bit_generator.state
+                assert np.array_equal(state["state"]["key"], key)
+                assert state["state"]["counter"].tolist() == [0, 0, t, 0]
+                assert state["buffer_pos"] == 4
 
     @pytest.mark.parametrize("seed", SEEDS + [2**130 + 7])  # and five entropy words
-    @pytest.mark.parametrize("key", [(), (0,), (2**32 - 1,), (2**32,), (0, 1), (3, 2**40, 5)])
+    @pytest.mark.parametrize("key", [(), *((t,) for t in TRIALS)])
     def test_trial_rng_matches_seed_sequence(self, seed, key):
-        ss = np.random.SeedSequence(seed, spawn_key=key)
-        want = np.random.Generator(np.random.Philox(ss))
-        got = trial_rng(seed, *key)
-        assert np.array_equal(got.bit_generator.state["state"]["key"],
-                              ss.generate_state(2, np.uint64))
-        assert np.array_equal(got.integers(0, 2**63, size=9), want.integers(0, 2**63, size=9))
+        # trial_rng(seed) is numpy's Philox(seed), and trial_rng(seed, t) is
+        # its jumped(t), from an int seed and from its SeedSequence
+        for s in (seed, np.random.SeedSequence(seed)):
+            bg = np.random.Philox(s)
+            want = np.random.Generator(bg.jumped(*key) if key else bg)
+            got = trial_rng(s, *key)
+            assert np.array_equal(got.integers(0, 2**63, size=9), want.integers(0, 2**63, size=9))
 
     @pytest.mark.parametrize("law", LAWS)
     @pytest.mark.parametrize("used", [7, 1, 0])
     def test_rekeyed_generator_is_a_fresh_trial_rng(self, law, used):
         # an odd-length 32-bit draw holds half a 64-bit word over in
         # has_uint32, and a Gaussian draw or a Rademacher block leaves
-        # Philox's buffer part read: a re-key must clear both, or the next
-        # stream starts on stale bits
-        g = trial_rng(5)
-        g.integers(0, 2, size=used)
-        g.standard_normal(used)
-        law.draw(g, 0, used)
-        for t in (3, 4, 2**32 - 1):
-            _rekey(g, trial_keys(2026, [t])[0])
-            want = trial_rng(2026, t)
-            assert _listed(g.bit_generator.state) == _listed(want.bit_generator.state)
-            assert np.array_equal(law.draw(g, 0, 9), law.draw(want, 0, 9))
-            assert np.array_equal(g.standard_normal(5), want.standard_normal(5))
+        # Philox's buffer part read: a seek must set key and counter and clear
+        # both, or the next trial starts on stale bits
+        for seed in (2026, np.random.SeedSequence(7, spawn_key=(1,))):
+            key = trial_rng(seed).bit_generator.state["state"]["key"]
+            g = trial_rng(5, 9)
+            g.integers(0, 2, size=used)
+            for each in LAWS:
+                each.draw(g, 0, used)
+            for t in (3, 4, 2**32 - 1):
+                _seek(g, key, t)
+                want = trial_rng(seed, t)
+                assert _listed(g.bit_generator.state) == _listed(want.bit_generator.state)
+                assert np.array_equal(law.draw(g, 0, 9), law.draw(want, 0, 9))
+                assert np.array_equal(g.standard_normal(5), want.standard_normal(5))
+
+    @pytest.mark.parametrize("law", [CoefficientLaw.GAUSSIAN, CoefficientLaw.RADEMACHER])
+    def test_neighbouring_trials_are_uncorrelated(self, law):
+        # trials split one key's counter; the lag-1 correlation of trial t's
+        # and trial t+1's first variate over 10^4 trials is within 5/sqrt(n)
+        x = np.array([law.draw(trial_rng(2026, t), 0, 1)[0] for t in range(10_000)])
+        z = (x - x.mean()) / x.std()
+        assert abs(np.mean(z[:-1] * z[1:])) < 5.0 / math.sqrt(x.size - 1)
 
 
 class TestEvaluate:
