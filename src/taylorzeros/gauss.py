@@ -12,10 +12,11 @@ for a stationary unit-variance Gaussian process gives
     E #zeros of Y per unit u = sqrt(-rho''(0)) / pi = sqrt(gamma) / (2 pi),
 
 so the expected count on [a, b] in the t coordinate is
-(sqrt(gamma)/2 pi) log(b/a). Paths come from one Cholesky, with diagonal
-jitter `_JITTER` (1e-12), of the Toeplitz covariance of an equally spaced grid
-of at most `_MAX_PATH_GRID` (1e4) points, read from its n lags with no n x n
-copy; L z is formed block by block below the diagonal. The oracle's grid
+(sqrt(gamma)/2 pi) log(b/a). Paths come from one Cholesky factor L of the
+Toeplitz covariance of an equally spaced grid of at most `_MAX_PATH_GRID`
+(1e4) points, with diagonal jitter `_JITTER` (1e-12). L is computed from the
+n lags alone by the Schur algorithm in O(n^2) flops, and is the one n x n
+array; L z is formed block by block below the diagonal. The oracle's grid
 has `roots._u_grid_size` points, the series grid rule, under that cap;
 `roots.path_zero_counts` counts the paths by the same half-open rule.
 """
@@ -25,17 +26,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .coeffs import _check_gamma
+from .sampling import _is_int
 
 __all__ = [
     "CovarianceConditioningError",
     "PathSampler",
-    "cov_z",
     "cov_y",
-    "rho_second_derivative",
-    "rho_second_derivative_fd",
     "expected_zeros_rice",
 ]
 
@@ -46,22 +44,6 @@ _DRAW_BLOCK = 256
 
 class CovarianceConditioningError(RuntimeError):
     """Covariance plus the diagonal jitter is not numerically positive definite."""
-
-
-def cov_z(t, s, gamma: float):
-    """E[Z(t) Z(s)] = 2^gamma (ts)^(gamma/2) / (t+s)^gamma for t, s > 0.
-
-    Evaluated through the ratio r = max/min so that cov_z(t, t) == 1.0
-    exactly and the result is bit-symmetric in its arguments.
-    """
-    _check_gamma(gamma)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(t <= 0.0) or np.any(s <= 0.0):
-        raise ValueError("cov_z needs strictly positive arguments")
-    r = np.maximum(t, s) / np.minimum(t, s)
-    out = np.exp(gamma * (math.log(2.0) + 0.5 * np.log(r) - np.log1p(r)))
-    return float(out) if out.ndim == 0 else out
 
 
 def cov_y(tau, gamma: float):
@@ -77,20 +59,6 @@ def cov_y(tau, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def rho_second_derivative(gamma: float) -> float:
-    """rho''(0) = -gamma/4 for rho(tau) = cosh(tau/2)^(-gamma)."""
-    _check_gamma(gamma)
-    return -gamma / 4.0
-
-
-def rho_second_derivative_fd(gamma: float) -> float:
-    """Central finite difference of rho at step 1e-3, a companion oracle for
-    rho_second_derivative (agreement ~1e-7)."""
-    _check_gamma(gamma)
-    h = 1e-3
-    return (cov_y(h, gamma) - 2.0 + cov_y(-h, gamma)) / (h * h)
-
-
 def expected_zeros_rice(a: float, b: float, gamma: float) -> float:
     """Expected zeros of Z on [a, b]: (sqrt(gamma)/2 pi) log(b/a), 0 < a < b < inf."""
     _check_gamma(gamma)
@@ -99,14 +67,46 @@ def expected_zeros_rice(a: float, b: float, gamma: float) -> float:
     return math.sqrt(gamma) / (2.0 * math.pi) * (math.log(b) - math.log(a))
 
 
-class PathSampler:
-    """Exact sampler for Y on an equally spaced u-grid via Cholesky.
+def _toeplitz_cholesky(r: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric Toeplitz matrix with first row r.
 
-    Any other grid raises ValueError. The covariance is a read-only Toeplitz
-    view of the lags rho(u_k - u_0); `_JITTER` is added to the lag-0 value,
-    the unit diagonal (so it is relative), before the one factorization,
-    which at the oracle's grid steps nearly always fails without it;
-    `self.jitter` records it. A failure raises CovarianceConditioningError.
+    The Schur algorithm: the generator (g1, g2) of T - Z T Z^T, Z the shift,
+    loses one column per step to a hyperbolic rotation, applied in the mixed
+    form that is backward stable on positive definite input (Bojanczyk,
+    Brent, de Hoog and Sweet, SIAM J. Matrix Anal. Appl. 16, 1995). O(n^2)
+    flops; the factor is the one n x n array. A rotation with |rho| >= 1, or
+    NaN, means T is not numerically positive definite.
+    """
+    n = r.size
+    chol = np.zeros((n, n))
+    g1 = r / math.sqrt(r[0])
+    g2 = g1.copy()
+    g2[0] = 0.0
+    for k in range(n - 1):
+        chol[k:, k] = g1  # column k of L, row k of U = L^T
+        g1, g2 = g1[:-1], g2[1:]  # shift g1 down one place; drop g2's zero
+        rho = g2[0] / g1[0]
+        if not abs(rho) < 1.0:
+            raise CovarianceConditioningError(
+                f"Cholesky failed at jitter {_JITTER} on {n} points"
+            )
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        g1 = (g1 - rho * g2) / s
+        g2 *= s
+        g2 -= rho * g1
+    chol[-1, -1] = g1[0]
+    return chol
+
+
+class PathSampler:
+    """Exact sampler for Y on an equally spaced u-grid via a Toeplitz Cholesky.
+
+    Any other grid raises ValueError. The covariance is Toeplitz, given by the
+    lags rho(u_k - u_0); `_JITTER` is added to the lag-0 value, the unit
+    diagonal (so it is relative), before the one factorization by
+    `_toeplitz_cholesky`, which at the oracle's grid steps nearly always
+    fails without it; `self.jitter` records it. A failure raises
+    CovarianceConditioningError.
     """
 
     def __init__(self, u, gamma: float):
@@ -125,14 +125,7 @@ class PathSampler:
         self.gamma = gamma
         r = cov_y(u - u[0], gamma)
         r[0] += _JITTER
-        # row i of the reversed windows is r_{|j - i|}, j = 0..n-1
-        cov = sliding_window_view(np.concatenate((r[:0:-1], r)), u.size)[::-1]
-        try:
-            self._chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise CovarianceConditioningError(
-                f"Cholesky failed at jitter {_JITTER} on {u.size} points"
-            ) from None
+        self._chol = _toeplitz_cholesky(r)
         self.jitter = _JITTER
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -140,8 +133,8 @@ class PathSampler:
         the next npoints normals, so split calls continue one path sequence.
         L z goes by row blocks of `_DRAW_BLOCK`, each block against the columns
         up to its last row: half the flops of the dense product."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        if not (_is_int(m) and m >= 1):
+            raise ValueError(f"m must be an integer >= 1, got {m!r}")
         z = rng.standard_normal((m, self.u.size)).T
         out = np.empty((self.u.size, m))
         for lo in range(0, self.u.size, _DRAW_BLOCK):

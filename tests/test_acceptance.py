@@ -18,6 +18,7 @@ from polycorpus import (
     random_corpus,
 )
 from diagnostics_reference import tail_pair
+from limit_covariance import cov_z, rho_second_derivative, rho_second_derivative_fd
 from taylorzeros.coeffs import CoefficientSequence
 from taylorzeros.diagnostics import check_weight_inequalities, rearrange, weights
 from taylorzeros.experiments import (
@@ -27,7 +28,7 @@ from taylorzeros.experiments import (
     run_interval_experiment,
     run_universality,
 )
-from taylorzeros.gauss import cov_y, cov_z, rho_second_derivative, rho_second_derivative_fd
+from taylorzeros.gauss import cov_y
 from taylorzeros.reports import interval_csv_text, report_json_text, build_report
 from taylorzeros.roots import ScanGrid, count_zeros, exact_count_small
 from taylorzeros.sampling import CoefficientLaw

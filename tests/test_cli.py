@@ -207,10 +207,8 @@ def test_gauss_oracle_validation_exits_2(argv, capsys):
 
 
 def test_gauss_oracle_failed_factorization_exits_1(monkeypatch, capsys):
-    def fail(a):
-        raise np.linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    # lags above 1 make the covariance indefinite
+    monkeypatch.setattr(taylorzeros.gauss, "cov_y", lambda tau, gamma: 1.0 + np.abs(tau))
     code = main(["gauss-oracle", "--gamma", "1", "--a", "1", "--b", "20", "-M", "5",
                  "--seed", "7"])
     assert code == 1

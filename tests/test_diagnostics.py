@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ import pytest
 import diagnostics_reference
 from diagnostics_reference import tail_pair
 from polycorpus import PRESETS
+from taylorzeros import diagnostics
 from taylorzeros.coeffs import CoefficientSequence
 from taylorzeros.diagnostics import (
     TruncationError,
+    _min_prefix_gap,
     check_weight_inequalities,
     rearrange,
     weights,
@@ -151,6 +155,33 @@ def test_rows_match_the_full_array_reference_bitwise(q, seq):
     got = check_weight_inequalities(seq, q, range(1, 13))
     want = diagnostics_reference.check_weight_inequalities(seq, q, range(1, 13))
     assert _fields(got) == _fields(want)
+
+
+def _exact_min_prefix_gap(b_sq, a_sq) -> Fraction:
+    # every float is an integer multiple of 2^-1074, so the prefix sums of
+    # those integers are exact
+    def ulps(arr):
+        return [n * (1 << 1074) // d for n, d in map(float.as_integer_ratio, arr.tolist())]
+
+    diffs = map(int.__sub__, ulps(b_sq), ulps(a_sq))
+    return Fraction(min(accumulate(diffs, initial=0)), 1 << 1074)
+
+
+def test_min_prefix_gap_matches_exact_prefix_sums(monkeypatch):
+    # 10^5 weights summing to 1: against a random permutation and an already
+    # sorted copy the exact gap is 0; with the pair reversed it is about -1/4.
+    # At the small block the run totals are carried across 98 blocks.
+    rng = np.random.default_rng(17)
+    w = rng.random(100_003)
+    w /= w.sum()
+    perm = rng.permutation(w)
+    b_sq = np.sort(w)[::-1]
+    for pair, want in (((b_sq, perm), 0.0), ((b_sq, b_sq.copy()), 0.0), ((perm, b_sq), -0.25)):
+        exact = _exact_min_prefix_gap(*pair)
+        assert float(exact) == pytest.approx(want, abs=0.01)
+        for block in (diagnostics._LD_BLOCK, 1 << 10):
+            monkeypatch.setattr(diagnostics, "_LD_BLOCK", block)
+            assert abs(Fraction(_min_prefix_gap(*pair)) - exact) <= 1e-13
 
 
 def test_row_memory_is_two_arrays_plus_blocks():

@@ -4,16 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taylorzeros import experiments
+from limit_covariance import cov_z, rho_second_derivative, rho_second_derivative_fd
+from taylorzeros import experiments, gauss
 from taylorzeros.gauss import (
     _MAX_PATH_GRID,
     CovarianceConditioningError,
     PathSampler,
+    _toeplitz_cholesky,
     cov_y,
-    cov_z,
     expected_zeros_rice,
-    rho_second_derivative,
-    rho_second_derivative_fd,
 )
 from taylorzeros.roots import _u_grid_size, path_zero_counts
 from taylorzeros.sampling import trial_rng
@@ -143,37 +142,39 @@ class TestPathSampler:
             PathSampler(u, 1.0)
 
     def test_one_factorization_per_sampler(self, monkeypatch):
-        shapes, cholesky = [], np.linalg.cholesky
+        sizes = []
 
-        def spy(a):
-            shapes.append(a.shape)
-            return cholesky(a)
+        def spy(r):
+            sizes.append(r.size)
+            return _toeplitz_cholesky(r)
 
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(gauss, "_toeplitz_cholesky", spy)
         PathSampler(np.linspace(0.0, TWO_PI, 101), 1.0)
         PathSampler(np.array([0.0]), 2.0)
-        assert shapes == [(101, 101), (1, 1)]
+        assert sizes == [101, 1]
 
     def test_oracle_grids_factorize_at_the_fixed_jitter(self, monkeypatch):
-        # the grids run_gaussian_oracle builds; without the jitter Cholesky
-        # fails on nearly all of them. The matrix built from the lags is the
-        # dense covariance of all pairwise differences to within 1e-14.
-        built, gaps, cholesky = [], [], np.linalg.cholesky
+        # the grids run_gaussian_oracle builds; without the jitter the
+        # factorization fails on nearly all of them. The factor built from
+        # the lags reproduces the dense covariance of all pairwise
+        # differences, plus the jitter, to within 1e-12.
+        built, gaps = [], []
 
         class Recording(PathSampler):
             def __init__(self, u, gamma):
                 super().__init__(u, gamma)
                 built.append(self)
 
-        def spy(a):
+        def spy(r):
             u, gamma = spy.grid
             dense = cov_y(u[:, None] - u[None, :], gamma)
             dense.flat[:: u.size + 1] += 1e-12
-            gaps.append(np.max(np.abs(a - dense)))
-            return cholesky(a)
+            chol = _toeplitz_cholesky(r)
+            gaps.append(np.max(np.abs(chol @ chol.T - dense)))
+            return chol
 
         monkeypatch.setattr(experiments, "PathSampler", Recording)
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(gauss, "_toeplitz_cholesky", spy)
         windows = [(g, eta, 1) for g in (0.5, 1.0, 2.0, 4.0) for eta in (0.02, 0.01)]
         windows += [(g, 0.02, 20) for g in (0.5, 1.0, 2.0)]
         for gamma, eta, periods in windows:
@@ -185,7 +186,21 @@ class TestPathSampler:
         assert len(built) == len(windows) == len(gaps)
         assert all(s.jitter == 1e-12 for s in built)
         assert max(s.u.size for s in built) == 1416
-        assert max(gaps) < 1e-14
+        assert max(gaps) <= 1e-12
+
+    def test_toeplitz_factor_matches_lapack(self):
+        # a well-conditioned grid: [0, 20 pi] at eta = 0.1, 101 points, whose
+        # smallest eigenvalue is 6e-6. At eta = 0.02 it is the jitter, and
+        # the two factors, both backward stable, differ by 1e-5.
+        u = np.linspace(0.0, 10.0 * TWO_PI, _u_grid_size(0.0, 10.0 * TWO_PI, 0.1, 1.0))
+        assert u.size == 101
+        r = cov_y(u - u[0], 1.0)
+        r[0] += 1e-12
+        dense = cov_y(u[:, None] - u[None, :], 1.0)
+        dense.flat[:: u.size + 1] += 1e-12
+        chol = _toeplitz_cholesky(r)
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.max(np.abs(chol - np.linalg.cholesky(dense))) <= 1e-10
 
     def test_blocked_draw_matches_the_dense_product(self):
         # 1001 points: three full row blocks of 256 and a partial one
@@ -208,8 +223,9 @@ class TestPathSampler:
 
     def test_sampler_builds_no_dense_covariance(self):
         # the benchmark's oracle grid, [0, 40 pi] at eta=0.005: 4001 points.
-        # The factor is the one n x n array; the dense covariance built from
-        # pairwise differences peaked at 4x that.
+        # The factor is the one n x n array; the Schur steps add O(n) floats,
+        # where the dense covariance built from pairwise differences peaked
+        # at 4x the factor and LAPACK's copy of the lag view at 2x.
         u = np.linspace(0.0, 40.0 * math.pi,
                         _u_grid_size(0.0, 40.0 * math.pi, 0.005, 1.0, cap=_MAX_PATH_GRID))
         assert u.size == 4001
@@ -219,15 +235,30 @@ class TestPathSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * u.size**2
+        assert peak <= 1.05 * 8 * u.size**2
+
+    def test_benchmark_grid_factor_reproduces_the_covariance(self):
+        # the 4001-point grid above, every 40th row of L L^T against the
+        # Toeplitz covariance with its jitter
+        u = np.linspace(0.0, 40.0 * math.pi, 4001)
+        s = PathSampler(u, 1.0)
+        i = np.arange(0, u.size, 40)
+        dense = cov_y(u[i, None] - u[None, :], 1.0)
+        dense[np.arange(i.size), i] += 1e-12
+        assert np.max(np.abs(s._chol[i] @ s._chol.T - dense)) <= 1e-12
 
     def test_failed_factorization_names_the_jitter(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        # lags above 1: the 2 x 2 leading minor is negative, so the
+        # covariance is indefinite
+        monkeypatch.setattr(gauss, "cov_y", lambda tau, gamma: 1.0 + np.abs(tau))
         with pytest.raises(CovarianceConditioningError, match="1e-12 on 11 points"):
             PathSampler(np.linspace(0.0, 1.0, 11), 1.0)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True, np.float64(3.0), "4"])
+    def test_draw_rejects_a_bad_path_count(self, m):
+        s = PathSampler(np.linspace(0.0, 1.0, 11), 1.0)
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            s.draw(trial_rng(0), m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -268,3 +299,17 @@ class TestPathZeroCounts:
                     counts.mean(),
                     want,
                 )
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.5])
+    def test_oracle_mean_matches_the_grid_sheppard_count(self, gamma):
+        # the exact expected count of the oracle's own grid: each of the
+        # n - 1 gaps of step h changes sign with probability
+        # arccos(rho(h))/pi (Sheppard), so no discretization slack and no
+        # pin on the factor's rounding
+        b = math.exp(2.0 * TWO_PI)
+        s = experiments.run_gaussian_oracle(gamma, 1.0, b, trials=20_000, eta=0.1,
+                                            seed=31337)
+        n = _u_grid_size(0.0, math.log(b), 0.1, gamma)
+        h = math.log(b) / (n - 1)
+        want = (n - 1) * math.acos(cov_y(h, gamma)) / math.pi
+        assert abs(s.mean_count - want) < 3.0 * s.stderr, (gamma, s.mean_count, want)
