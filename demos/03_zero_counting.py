@@ -6,10 +6,12 @@ Zeros are counted by sign changes on a grid that is uniform in
 u = -log(1-x), so resolution automatically concentrates near x = 1 where
 the zeros do.  `count_zeros` evaluates once, on the grid with every gap
 halved, and flags a count the halved grid does not reproduce as unstable.
-`locate_zeros` refines each counted zero's bracket by bisection.
+`bracket` below refines each counted zero's bracket by bisection.
 `exact_count_small` gives exact counts for polynomials of degree up to 1024
 (Descartes' rule of signs with bisection, in integer arithmetic).
 """
+
+import numpy as np
 
 from taylorzeros import (
     CoefficientLaw,
@@ -19,16 +21,30 @@ from taylorzeros import (
     count_zeros,
     draw_sample,
     exact_count_small,
-    locate_zeros,
     truncation_degree,
 )
+
+
+def bracket(fn, grid):
+    """A bracket of width 1e-12 around each sign change on the grid's points."""
+    x = grid.points()
+    s = np.sign(fn(x))
+    out = []
+    for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
+        lo, hi = x[i], x[i + 1]
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(fn(np.array([mid]))[0]) == s[i] else (lo, mid)
+        out.append((lo, hi))
+    return out
+
 
 # a cubic with roots 0.3 and 0.6 inside the scan window
 poly = lambda x: (x - 0.3) * (x - 0.6) * (x + 2.0)
 grid = ScanGrid(0.0, 0.95, eta=0.02)
 zc = count_zeros(poly, grid)
 print(f"cubic on [0, 0.95): count={zc.count} stable={zc.stable}")
-for lo, hi in locate_zeros(poly, grid):
+for lo, hi in bracket(poly, grid):
     print(f"  zero in [{lo:.12f}, {hi:.12f}]")
 
 # the exact count agrees; ascending coefficients of the expanded cubic
@@ -50,7 +66,7 @@ for seed in range(40):
     zc = count_zeros(sample.evaluate_many, grid)
     if zc.count:
         hits += 1
-        locs = locate_zeros(sample.evaluate_many, grid)
+        locs = bracket(sample.evaluate_many, grid)
         mids = ", ".join(f"{(lo + hi) / 2:.8f}" for lo, hi in locs)
         print(f"  seed {seed:2d}: {zc.count} zero(s) near {mids}")
 print(f"{hits}/40 samples had a zero here; the limit mean is "

@@ -23,9 +23,12 @@ This module tabulates, per n,
         n^{gamma-1.25} e^{-2n}), which should stay bounded away from zero.
 
 Array length follows K(n) = ceil(40 n q^{-n}); rows whose arrays would pass
-the byte budget are reported as skipped rather than computed. A row holds two
-arrays of K+1 floats, the weights and their sorted copy, each turned into its
-tails in place; everything else runs in blocks of `_LD_BLOCK` elements.
+the byte budget are reported as skipped rather than computed. The weights
+underflow to +0.0 long before k reaches K, so a row holds the K+1 weights and
+the sorted copy of their support [0, s), s one past the last nonzero weight;
+the rearrangement is that copy followed by zeros that are never stored. One
+backward sweep over [0, s) turns both into their tails in place and checks
+(iii) and (iv) as it goes; every pass runs in blocks of `_BLOCK` elements.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ _EXACT_TOL = 1e-12
 _NORM_TOL = 1e-9  # tail mass is capped at 1e-10, so the gap must sit below this
 _CORRIDOR_RTOL = 1e-9
 _BUDGET = 320_000_000  # bytes of a row's two float64 arrays of K+1
-_LD_BLOCK = 1 << 20
-_RUN = 256  # float64 prefix-sum run of _min_prefix_gap; divides _LD_BLOCK
+_BLOCK = 1 << 14  # floats per block of every pass over a row: 128 KB
+_RUN = 256  # float64 prefix-sum run of _min_prefix_gap; divides _BLOCK
+_EXP_ZERO = -746.0  # exp(t) < 2^-1076 for t below it, which rounds to +0.0
 
 
 class TruncationError(RuntimeError):
@@ -100,11 +104,12 @@ def weights(seq: CoefficientSequence, n: int, q: float, K: int) -> WeightArray:
         )
     log_x2 = 2.0 * math.log1p(-(q**n))
     a_sq = np.zeros(K + 1)  # c_0 = 0; k >= 1 is filled block by block
-    for lo in range(1, K + 1, _LD_BLOCK):
-        k = np.arange(lo, min(K + 1, lo + _LD_BLOCK), dtype=float)
+    for lo in range(1, K + 1, _BLOCK):
+        k = np.arange(lo, min(K + 1, lo + _BLOCK), dtype=float)
         blk = seq._log_csq(k)
         blk += log_x2 * k
-        np.divide(np.exp(blk, out=blk), v, out=a_sq[lo : lo + k.size])
+        if blk.max() >= _EXP_ZERO:  # else the block's weights are the +0.0 already there
+            np.divide(np.exp(blk, out=blk), v, out=a_sq[lo : lo + k.size])
     return WeightArray(a_sq=a_sq, tail_mass=tail_mass)
 
 
@@ -113,11 +118,16 @@ def rearrange(w: WeightArray) -> np.ndarray:
     return np.sort(w.a_sq)[::-1]
 
 
-def _tails(arr: np.ndarray) -> np.ndarray:
-    """arr_k -> sum_{j>=k} arr_j, in place; summed from the small end, so each
-    entry has small *relative* error."""
-    np.cumsum(arr[::-1], out=arr[::-1])
-    return arr
+def _sorted_support(a_sq: np.ndarray) -> np.ndarray:
+    """The weights a_0..a_{s-1} sorted nondecreasing, s one past the last
+    nonzero weight. Reversed and followed by K+1-s zeros it is `rearrange`'s
+    array, value for value: the weights hold no -0.0. The stable sort is a
+    merge of runs, O(s) on these unimodal rows."""
+    s = a_sq.size
+    while not a_sq[max(0, s - _BLOCK) : s].any():  # sum_k a_k ~ 1, so s > 0
+        s -= _BLOCK
+    s -= np.argmax(a_sq[max(0, s - _BLOCK) : s][::-1] > 0.0)
+    return np.sort(a_sq[:s], kind="stable")
 
 
 def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:
@@ -127,14 +137,18 @@ def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:
     summed in float64 within runs of `_RUN` and the run totals are carried in
     extended precision. With both arrays summing to 1, every prefix is off by
     at most 2 (_RUN - 1) 2^-53 + 2 (K/_RUN) 2^-64, about 6e-14 at K = 9.2e6:
-    well inside the 1e-12 tolerance at any K the byte budget admits.
+    well inside the 1e-12 tolerance at any K the byte budget admits. Past
+    the last nonzero of both arrays every prefix repeats, so a caller may
+    pass [0, s) only.
     """
     carry = np.longdouble(0.0)
     best = np.longdouble(0.0)  # empty prefix
-    for lo in range(0, b_sq.size, _LD_BLOCK):
-        hi = min(b_sq.size, lo + _LD_BLOCK)
-        d = np.zeros(-(-(hi - lo) // _RUN) * _RUN)  # zero padding repeats a prefix
-        np.subtract(b_sq[lo:hi], a_sq[lo:hi], out=d[: hi - lo])
+    buf = np.empty(_BLOCK)
+    for lo in range(0, b_sq.size, _BLOCK):
+        m = min(b_sq.size - lo, _BLOCK)
+        d = buf[: -(-m // _RUN) * _RUN]
+        d[m:] = 0.0  # zero padding repeats a prefix
+        np.subtract(b_sq[lo : lo + m], a_sq[lo : lo + m], out=d[:m])
         runs = d.reshape(-1, _RUN)
         np.cumsum(runs, axis=1, out=runs)
         starts = np.cumsum(np.concatenate(([carry], runs[:, -1])))
@@ -143,26 +157,38 @@ def _min_prefix_gap(b_sq: np.ndarray, a_sq: np.ndarray) -> float:
     return float(best)
 
 
-def _corridor_ok(F, tilde, shift: int, half: int, tail_mass: float) -> bool:
-    """F_k >= Ftilde_{k+shift} (relative slack _CORRIDOR_RTOL) for k <= half;
-    past K, Ftilde is replaced by its upper bound, the certified tail mass."""
-    for lo in range(0, half + 1, _LD_BLOCK):
-        f = F[lo : min(half + 1, lo + _LD_BLOCK)] * (1.0 + _CORRIDOR_RTOL) + 1e-300
-        ft = tilde[lo + shift : lo + shift + f.size]  # short or empty past K
-        if not (np.all(f[: ft.size] >= ft) and np.all(f[ft.size :] >= tail_mass)):
-            return False
-    return True
+def _sweep(a_sq, b_up, shift: int, half: int, k0: int, qn: float, tail_mass: float):
+    """One backward pass over [0, s), s = b_up.size, with a_sq the K+1
+    weights (zero from s on) and b_up their sorted support (nondecreasing).
 
-
-def _log_chat(tilde, k0: int, qn: float) -> float:
-    """max_{k >= k0} log Ftilde_k + k q^n; a zero tail gives -inf."""
-    best = -math.inf
-    with np.errstate(divide="ignore"):
-        for lo in range(k0, tilde.size, _LD_BLOCK):
-            env = np.log(tilde[lo : lo + _LD_BLOCK])
-            env += np.arange(lo, lo + env.size, dtype=float) * qn
+    Block by block from the top, it turns a_sq into Ftilde and b_up into F
+    (read backwards) in place, summed from the small end as one long cumsum
+    would, bit for bit: each block's carry is folded into its first summand.
+    It returns whether F_k >= Ftilde_{k+shift} (relative slack
+    _CORRIDOR_RTOL) for k <= half, where past K Ftilde is replaced by its
+    upper bound, the certified tail mass; and max_{k >= k0} log Ftilde_k +
+    k q^n, or -inf if the support ends by k0.
+    """
+    s, K = b_up.size, a_sq.size - 1
+    # past s, F_k = 0 and f = 1e-300, against Ftilde = 0 up to K and the tail mass past it
+    ok = half < s or half + shift <= K or 1e-300 >= tail_mass
+    best, ca, cb = -math.inf, 0.0, 0.0
+    for hi in range(s, 0, -_BLOCK):
+        lo = max(0, hi - _BLOCK)
+        for t, c in ((a_sq[lo:hi][::-1], ca), (b_up[s - hi : s - lo], cb)):
+            t[0] += c
+            np.cumsum(t, out=t)
+        ca, cb = a_sq[lo], b_up[s - lo - 1]
+        if ok and lo <= half:
+            f = b_up[s - min(hi, half + 1) : s - lo][::-1] * (1.0 + _CORRIDOR_RTOL) + 1e-300
+            ft = a_sq[lo + shift : lo + shift + f.size]  # short or empty past K
+            ok = bool(np.all(f[: ft.size] >= ft) and np.all(f[ft.size :] >= tail_mass))
+        c = max(lo, k0)
+        if c < hi:
+            env = np.log(a_sq[c:hi])
+            env += np.arange(c, hi, dtype=float) * qn
             best = max(best, env.max())
-    return best
+    return ok, best
 
 
 @dataclass
@@ -257,22 +283,25 @@ def check_weight_inequalities(
             rows.append(DiagnosticsRow(n=n, K=K, skipped=True, note=note))
             continue
         w = weights(seq, n, q, K)
-        a_sq, b_sq = w.a_sq, rearrange(w)
+        a_sq = w.a_sq
+        b_up = _sorted_support(a_sq)  # b_k = b_up[s-1-k]; zero from k = s on
 
-        b0_sq = float(b_sq[0])
+        b0_sq = float(b_up[-1])
         b0_bound = q ** (0.5 * n * min(1.0, seq.gamma))
+        # over the whole row: numpy's pairwise summation order depends on the length
         norm_gap = abs(1.0 - float(a_sq.sum()))
-        min_gap = _min_prefix_gap(b_sq, a_sq)
-        # both arrays become their tails: Ftilde (natural) and F (rearranged)
-        tilde, F = _tails(a_sq), _tails(b_sq)
+        min_gap = _min_prefix_gap(b_up[::-1], a_sq[: b_up.size])
 
         shift = math.floor(math.sqrt(n) * q**-n)
-        corridor_ok = _corridor_ok(F, tilde, shift, K // 2, w.tail_mass)
-        chat = float(np.exp(_log_chat(tilde, math.ceil(n * q**-n), q**n)))
+        # a_sq becomes Ftilde and b_up the tails F, backwards
+        corridor_ok, log_chat = _sweep(
+            a_sq, b_up, shift, K // 2, math.ceil(n * q**-n), q**n, w.tail_mass
+        )
+        chat = float(np.exp(log_chat))
 
         j = math.floor(n * q**-n)
         envelope = q ** (0.5 * n) * n ** (seq.gamma - 1.25) * math.exp(-2.0 * n)
-        lower_ratio = float(tilde[j] / envelope) if j <= K else math.nan
+        lower_ratio = float(a_sq[j] / envelope) if j <= K else math.nan
 
         rows.append(
             DiagnosticsRow(

@@ -8,7 +8,7 @@ That grid rule lives here, in `_u_grid_size` (ceil(span/step) equal gaps and
 a point cap, in integers); `ScanGrid` and the limit-process oracle (in
 u = log t) both build a linspace of that many points.
 `count_zeros` and the experiments' scan count sign changes on the grid with
-every gap halved (stable if both agree); `locate_zeros` brackets by bisection.
+every gap halved (stable if both agree).
 
 The counting rule lives here, in `_zero_gaps`, and every count in the
 package uses it (`_halved_counts` for series scans, `path_zero_counts` for
@@ -42,7 +42,6 @@ __all__ = [
     "ZeroCount",
     "count_zeros",
     "exact_count_small",
-    "locate_zeros",
     "path_zero_counts",
 ]
 
@@ -155,21 +154,6 @@ def _halved_counts(fine: np.ndarray):
     return n, path_zero_counts(fine) == n
 
 
-def _refine(fn, lo: float, hi: float, lo_positive: bool, tol: float):
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        fm = float(_values(fn, np.array([mid]))[0])
-        if fm == 0.0:
-            return mid, mid
-        if (fm > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def count_zeros(fn, grid: ScanGrid, *, vectorized: bool = True) -> ZeroCount:
     """Count zeros of `fn` on [grid.a, grid.b) by sign changes.
 
@@ -180,24 +164,6 @@ def count_zeros(fn, grid: ScanGrid, *, vectorized: bool = True) -> ZeroCount:
     """
     n, stable = _halved_counts(_values(fn, grid._points(2)))
     return ZeroCount(count=int(n), stable=bool(stable))
-
-
-def locate_zeros(fn, grid: ScanGrid) -> np.ndarray:
-    """Brackets (lo, hi), shape (count, 2), of the zeros `count_zeros` counts
-    on the grid, each refined by bisection to width 1e-12 * (b - a). An exact
-    zero at a grid point gets the degenerate bracket (x, x).
-    """
-    pts = grid.points()
-    vals = _values(fn, pts)
-    gaps = np.flatnonzero(_zero_gaps(vals))
-    tol = 1e-12 * (grid.b - grid.a)
-    locs = np.empty((gaps.size, 2))
-    for j, i in enumerate(gaps):
-        if vals[i] == 0.0:
-            locs[j] = pts[i], pts[i]
-        else:
-            locs[j] = _refine(fn, float(pts[i]), float(pts[i + 1]), vals[i] > 0.0, tol)
-    return locs
 
 
 # ---------------------------------------------------------------------------

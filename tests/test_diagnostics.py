@@ -15,6 +15,7 @@ from taylorzeros.coeffs import CoefficientSequence
 from taylorzeros.diagnostics import (
     TruncationError,
     _min_prefix_gap,
+    _sorted_support,
     check_weight_inequalities,
     rearrange,
     weights,
@@ -151,10 +152,86 @@ def _fields(report):
 @pytest.mark.parametrize("seq", PRESETS, ids=range(len(PRESETS)))
 @pytest.mark.parametrize("q", [0.5, 0.7])
 def test_rows_match_the_full_array_reference_bitwise(q, seq):
-    # n = 11, 12 at q=0.5 (K = 0.9M, 2.0M) span one and two blocks of _LD_BLOCK
-    got = check_weight_inequalities(seq, q, range(1, 13))
-    want = diagnostics_reference.check_weight_inequalities(seq, q, range(1, 13))
+    # n = 11, 12 at q=0.5 (K = 0.9M, 2.0M) span 55 and 122 blocks of _BLOCK; at
+    # q=0.7 the rows run to n = 20, where more than half of the weights are
+    # +0.0 and the support ends before K/2 (see the next test)
+    n_range = range(1, {0.5: 13, 0.7: 21}[q])
+    got = check_weight_inequalities(seq, q, n_range)
+    want = diagnostics_reference.check_weight_inequalities(seq, q, n_range)
     assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("seq", PRESETS, ids=range(len(PRESETS)))
+def test_sorted_support_then_zeros_is_the_rearrangement(seq):
+    # at q=0.7, n = 19 and 20 the support [0, s) ends before K/2, so the
+    # corridor checks the F = 0 stretch [s, K/2] without any array
+    for n in (19, 20):
+        w = weights(seq, n, 0.7, K_for(n, 0.7))
+        b_up = _sorted_support(w.a_sq)
+        s = b_up.size
+        assert w.a_sq[s - 1] > 0.0 and not w.a_sq[s:].any()
+        assert s <= K_for(n, 0.7) // 2
+        full = np.concatenate((b_up[::-1], np.zeros(w.a_sq.size - s)))
+        want = rearrange(w)
+        assert np.array_equal(full, want)
+        assert np.array_equal(np.signbit(full), np.signbit(want))
+
+
+def test_sweep_matches_the_whole_array_arithmetic(monkeypatch):
+    # random weights on [0, s) and zeros to K, in blocks of 256: the tails
+    # bit for bit, and the corridor and log C_hat at every cut where they turn
+    monkeypatch.setattr(diagnostics, "_BLOCK", 256)
+    rng = np.random.default_rng(3)
+    K, s, qn = 5000, 3001, 1e-3
+    a_sq = np.zeros(K + 1)
+    a_sq[1:s] = rng.random(s - 1)
+    a_sq /= a_sq.sum()
+    b_up = np.sort(a_sq[:s], kind="stable")
+    tilde = np.cumsum(a_sq[::-1])[::-1]
+    F = np.cumsum(np.sort(a_sq))[::-1]
+    k = np.arange(K + 1)
+    log_env = np.log(tilde[:s]) + k[:s] * qn
+
+    def sweep(shift, half, k0, tail_mass):
+        a, b = a_sq.copy(), b_up.copy()
+        got = diagnostics._sweep(a, b, shift, half, k0, qn, tail_mass)
+        assert np.array_equal(a, tilde) and np.array_equal(b[::-1], F[:s])
+        return got
+
+    def corridor(shift, tail_mass):
+        idx = k + shift
+        ft = np.where(idx <= K, tilde[np.minimum(idx, K)], tail_mass)
+        return F * (1.0 + diagnostics._CORRIDOR_RTOL) + 1e-300 >= ft
+
+    for shift in (41, 701):
+        cond = corridor(shift, 1e-10)
+        first = int(np.argmin(cond))
+        assert 0 < first < s and not cond[first]
+        assert corridor(shift + 1, 1e-10)[: first + 1].all()  # the cut is sharp
+        for half in (first - 1, first):
+            assert sweep(shift, half, 0, 1e-10)[0] == cond[: half + 1].all() == (half < first)
+    # F is 0 from s - 1 on (a_0 = 0): at shift 1900 it meets Ftilde = 0 up to
+    # k = K - shift, past s, and only then the tail mass, which decides alone
+    assert corridor(1900, 1e-10)[: K - 1900 + 1].all()
+    for tail_mass in (0.0, 1e-10):
+        want = corridor(1900, tail_mass).all()
+        assert sweep(1900, K, 0, tail_mass)[0] == want == (tail_mass == 0.0)
+    for k0 in (0, 255, 256, 2999, 3000):
+        assert sweep(1, 0, k0, 0.0)[1] == log_env[k0:].max()
+    assert sweep(1, 0, s, 0.0)[1] == -math.inf  # the support ends by k0
+
+
+def test_skipped_weight_blocks_are_what_exp_gives():
+    # `weights` leaves a block at +0.0 when every exponent is below _EXP_ZERO
+    t = np.concatenate((
+        np.linspace(-800.0, diagnostics._EXP_ZERO, 1_000_001),
+        [np.nextafter(diagnostics._EXP_ZERO, -np.inf), -1e300, -np.inf],
+    ))
+    t = t[t < diagnostics._EXP_ZERO]
+    e = np.exp(t)
+    assert t.size == 1_000_003
+    assert not e.any() and not np.signbit(e).any()
+    assert all(math.exp(x) == 0.0 for x in t[::1000])
 
 
 def _exact_min_prefix_gap(b_sq, a_sq) -> Fraction:
@@ -170,7 +247,7 @@ def _exact_min_prefix_gap(b_sq, a_sq) -> Fraction:
 def test_min_prefix_gap_matches_exact_prefix_sums(monkeypatch):
     # 10^5 weights summing to 1: against a random permutation and an already
     # sorted copy the exact gap is 0; with the pair reversed it is about -1/4.
-    # At the small block the run totals are carried across 98 blocks.
+    # The run totals are carried across 7 blocks of _BLOCK and 98 of 2^10.
     rng = np.random.default_rng(17)
     w = rng.random(100_003)
     w /= w.sum()
@@ -179,20 +256,25 @@ def test_min_prefix_gap_matches_exact_prefix_sums(monkeypatch):
     for pair, want in (((b_sq, perm), 0.0), ((b_sq, b_sq.copy()), 0.0), ((perm, b_sq), -0.25)):
         exact = _exact_min_prefix_gap(*pair)
         assert float(exact) == pytest.approx(want, abs=0.01)
-        for block in (diagnostics._LD_BLOCK, 1 << 10):
-            monkeypatch.setattr(diagnostics, "_LD_BLOCK", block)
+        for block in (diagnostics._BLOCK, 1 << 10):
+            assert block % diagnostics._RUN == 0
+            monkeypatch.setattr(diagnostics, "_BLOCK", block)
             assert abs(Fraction(_min_prefix_gap(*pair)) - exact) <= 1e-13
 
 
 def test_row_memory_is_two_arrays_plus_blocks():
-    # n=13: K = 4.26M. The row holds the weights and their sorted copy, each
-    # turned into its tails in place, plus blocks of _LD_BLOCK; the
-    # full-array reference peaks at about eight arrays of K+1 floats
+    # n=13: K = 4.26M, of which s = 3.02M weights are nonzero. The row holds
+    # the K+1 weights and the sorted copy of their support, each turned into
+    # its tails in place, plus blocks of _BLOCK: measured 58.75 MB, 0.5 MiB
+    # over the two arrays (85.0 MB when the sorted copy was K+1 floats and the
+    # blocks 2^20). The full-array reference peaks at about eight arrays of K+1
     tracemalloc.start()
     try:
         row = check_weight_inequalities(FLAT, 0.5, [13]).rows[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    s = _sorted_support(weights(FLAT, 13, 0.5, row.K).a_sq).size
     assert row.sorted_dominated and row.corridor_ok
-    assert peak <= 2 * 8 * (row.K + 1) + 64 * 2**20
+    assert s == 3_017_813
+    assert peak <= 8 * (row.K + 1) + 8 * s + 4 * 2**20

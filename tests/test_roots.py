@@ -11,9 +11,9 @@ from taylorzeros.roots import (
     ScanGrid,
     count_zeros,
     exact_count_small,
-    locate_zeros,
     path_zero_counts,
 )
+from bisection import locate_zeros
 from polycorpus import (
     SCAN_INTERVAL,
     mismatch_attributable,
