@@ -320,4 +320,5 @@ def check_weight_inequalities(
                 lower_ratio=lower_ratio,
             )
         )
+        del w, a_sq, b_up  # else they stay alive while the next row is built
     return DiagnosticsReport(q=q, gamma=seq.gamma, rows=rows)

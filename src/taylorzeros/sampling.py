@@ -236,13 +236,14 @@ def draw_sample(
     seed,
     K: int,
     policy: TruncationPolicy | None = None,
+    t: int = 0,
 ) -> SeriesSample:
-    """Draw xi_0..xi_K from `law`; deterministic in (law, seed, K).
+    """Draw xi_0..xi_K from `law`; deterministic in (law, seed, K, t).
 
-    `seed` is a `trial_rng` seed, and the draw is trial 0's stream. The same
-    seed with a larger K extends the sample: the first K+1 variates agree.
+    `seed` is a `trial_rng` seed, and the draw is trial t's stream, as the scan
+    reads it. A larger K extends the sample: the first K+1 variates agree.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    xi = law.draw(trial_rng(seed), 0, K + 1)
+    xi = law.draw(trial_rng(seed, t), 0, K + 1)
     return SeriesSample(seq=seq, xi=xi, policy=policy)

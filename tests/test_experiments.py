@@ -2,9 +2,12 @@ import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from polycorpus import mismatch_attributable
 
 import taylorzeros.experiments as experiments_mod
 import taylorzeros.sampling as sampling_mod
@@ -24,12 +27,18 @@ from taylorzeros.experiments import (
     run_universality,
 )
 from taylorzeros.reports import build_report, report_json_text
-from taylorzeros.roots import EvaluationError, ScanGrid, count_zeros, path_zero_counts
+from taylorzeros.roots import (
+    EvaluationError,
+    ScanGrid,
+    count_zeros,
+    exact_count_small,
+    path_zero_counts,
+)
 from taylorzeros.sampling import (
     CoefficientLaw,
-    SeriesSample,
     TruncationPolicy,
     _PowerTable,
+    draw_sample,
     trial_rng,
     truncation_degree,
 )
@@ -163,11 +172,6 @@ def _tile(cfg, n):
     return 1 - cfg.q**n, 1 - cfg.q ** (n + 1)
 
 
-def _trial_sample(cfg, t, K, policy):
-    """`draw_sample`'s series on trial t's stream, `trial_rng(master_seed, t)`."""
-    return SeriesSample(cfg.seq, cfg.law.draw(trial_rng(cfg.master_seed, t), 0, K + 1), policy)
-
-
 def _reference_values(cfg, n):
     """Tile n's trial values the slow way: one draw at tile n's own K and one
     evaluate_many per trial, on trial t's stream `trial_rng(master_seed, t)`;
@@ -176,7 +180,8 @@ def _reference_values(cfg, n):
     policy = TruncationPolicy(b, cfg.delta)
     K = truncation_degree(cfg.seq, policy)
     pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
-    samples = [_trial_sample(cfg, t, K, policy) for t in range(cfg.trials)]
+    samples = [draw_sample(cfg.seq, cfg.law, cfg.master_seed, K, policy, t=t)
+               for t in range(cfg.trials)]
     ref = np.column_stack([s.evaluate_many(pts) for s in samples])
     if n == 0:  # f(0) = 0 on every path; the engine holds c_1 xi_1 there
         assert not ref[0].any()
@@ -515,10 +520,37 @@ def test_scan_stability_matches_count_zeros():
         a, b = _tile(cfg, n)
         policy = TruncationPolicy(b, cfg.delta)
         K = truncation_degree(cfg.seq, policy)
-        zcs = [count_zeros(_trial_sample(cfg, t, K, policy).evaluate_many,
-                           ScanGrid(a, b, cfg.eta, cfg.gamma)) for t in range(cfg.trials)]
+        samples = (draw_sample(cfg.seq, cfg.law, cfg.master_seed, K, policy, t=t)
+                   for t in range(cfg.trials))
+        zcs = [count_zeros(s.evaluate_many, ScanGrid(a, b, cfg.eta, cfg.gamma)) for s in samples]
         assert counts[n].tolist() == [z.count for z in zcs]
         assert ests[n].unstable_fraction == sum(not z.stable for z in zcs) / cfg.trials
+
+
+def test_scan_counts_the_trials_draw_sample_draws_and_the_exact_oracle_agrees():
+    # the Rademacher preset's settings on tiles 1..3 (K = 64, 128, 256, inside
+    # exact_count_small's range), its first 100 trials: trial t's scan count is
+    # count_zeros on draw_sample(..., t=t), and the exact root count on at least
+    # 99% of them, every mismatch explained by roots the grid cannot separate
+    preset = Path(__file__).parents[1] / "presets" / "gamma1_q05_rademacher.cfg"
+    cfg = replace(cli.parse_config_file(preset), trials=100)
+    counts = _scan(cfg, range(1, 4))[1]
+    agree = 0
+    for i, n in enumerate(range(1, 4)):
+        a, b = _tile(cfg, n)
+        policy = TruncationPolicy(b, cfg.delta)
+        K = truncation_degree(cfg.seq, policy)
+        assert K == 2 ** (n + 5)
+        grid = ScanGrid(a, b, cfg.eta, cfg.gamma)
+        for t in range(cfg.trials):
+            s = draw_sample(cfg.seq, cfg.law, cfg.master_seed, K, policy, t=t)
+            got = count_zeros(s.evaluate_many, grid).count
+            assert got == counts[i, t], (n, t)
+            if got == exact_count_small(s.weights, (a, b)):
+                agree += 1
+            else:
+                assert mismatch_attributable(s.weights, (a, b), cfg.eta), (n, t)
+    assert agree >= 0.99 * 3 * cfg.trials
 
 
 # ------------------------------------------------------------ cumulative

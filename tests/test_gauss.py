@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_factor import dense_factor
 from limit_covariance import cov_z, rho_second_derivative, rho_second_derivative_fd
 from taylorzeros import experiments, gauss
 from taylorzeros.gauss import (
+    _DRAW_BLOCK,
     _MAX_PATH_GRID,
     CovarianceConditioningError,
     PathSampler,
@@ -156,8 +158,9 @@ class TestPathSampler:
     def test_oracle_grids_factorize_at_the_fixed_jitter(self, monkeypatch):
         # the grids run_gaussian_oracle builds; without the jitter the
         # factorization fails on nearly all of them. The factor built from
-        # the lags reproduces the dense covariance of all pairwise
-        # differences, plus the jitter, to within 1e-12.
+        # the lags, assembled from its row blocks, reproduces the dense
+        # covariance of all pairwise differences, plus the jitter, to within
+        # 1e-12.
         built, gaps = [], []
 
         class Recording(PathSampler):
@@ -169,9 +172,10 @@ class TestPathSampler:
             u, gamma = spy.grid
             dense = cov_y(u[:, None] - u[None, :], gamma)
             dense.flat[:: u.size + 1] += 1e-12
-            chol = _toeplitz_cholesky(r)
+            blocks = _toeplitz_cholesky(r)
+            chol = dense_factor(blocks)
             gaps.append(np.max(np.abs(chol @ chol.T - dense)))
-            return chol
+            return blocks
 
         monkeypatch.setattr(experiments, "PathSampler", Recording)
         monkeypatch.setattr(gauss, "_toeplitz_cholesky", spy)
@@ -198,17 +202,35 @@ class TestPathSampler:
         r[0] += 1e-12
         dense = cov_y(u[:, None] - u[None, :], 1.0)
         dense.flat[:: u.size + 1] += 1e-12
-        chol = _toeplitz_cholesky(r)
-        assert np.array_equal(chol, np.tril(chol))
+        chol = dense_factor(_toeplitz_cholesky(r))
+        assert chol.shape == (101, 101) and np.array_equal(chol, np.tril(chol))
         assert np.max(np.abs(chol - np.linalg.cholesky(dense))) <= 1e-10
 
     def test_blocked_draw_matches_the_dense_product(self):
         # 1001 points: three full row blocks of 256 and a partial one
         s = PathSampler(np.linspace(0.0, 20.0 * math.pi, 1001), 1.0)
         got = s.draw(trial_rng(3), 50)
-        want = s._chol @ trial_rng(3).standard_normal((50, s.u.size)).T
+        want = dense_factor(s._blocks) @ trial_rng(3).standard_normal((50, s.u.size)).T
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(path_zero_counts(got), path_zero_counts(want))
+
+    @pytest.mark.parametrize("npts", [257, 1001])
+    @pytest.mark.parametrize("m", [1, 3, 7, 256])
+    def test_draw_is_the_dense_row_block_product_bit_for_bit(self, npts, m):
+        # the factor is the C-order row blocks L[lo:hi, :hi], lo a multiple of
+        # the block size, and a draw is each block's product with z[:hi], bit
+        # for bit what the same rows of the dense factor give; a transposed
+        # (Fortran-order) block changes the m = 3 draws in the last bits
+        s = PathSampler(np.linspace(0.0, 20.0 * math.pi, npts), 1.0)
+        dense = dense_factor(s._blocks)
+        los = list(range(0, npts, _DRAW_BLOCK))
+        his = los[1:] + [npts]
+        assert [b.shape for b in s._blocks] == [(hi - lo, hi) for lo, hi in zip(los, his)]
+        assert all(b.flags.c_contiguous for b in s._blocks)
+        got = s.draw(trial_rng(3), m)
+        z = trial_rng(3).standard_normal((m, npts)).T
+        for lo, hi in zip(los, his):
+            assert np.array_equal(got[lo:hi], np.matmul(dense[lo:hi, :hi], z[:hi]))
 
     def test_split_draws_continue_one_sequence_of_paths(self):
         # path j takes the next n normals of the stream, so 3 paths then 4
@@ -223,29 +245,31 @@ class TestPathSampler:
 
     def test_sampler_builds_no_dense_covariance(self):
         # the benchmark's oracle grid, [0, 40 pi] at eta=0.005: 4001 points.
-        # The factor is the one n x n array; the Schur steps add O(n) floats,
-        # where the dense covariance built from pairwise differences peaked
-        # at 4x the factor and LAPACK's copy of the lag view at 2x.
+        # The factor's row blocks hold n^2/2 + 128 n floats (0.532 of 8 n^2
+        # bytes here) and the Schur steps one band of 256 x n (0.064) plus
+        # O(n); the dense n x n factor read 1.0, the dense covariance built
+        # from pairwise differences 4.0 and LAPACK's copy of the lag view 2.0.
         u = np.linspace(0.0, 40.0 * math.pi,
                         _u_grid_size(0.0, 40.0 * math.pi, 0.005, 1.0, cap=_MAX_PATH_GRID))
         assert u.size == 4001
         tracemalloc.start()
         try:
-            PathSampler(u, 1.0)
+            s = PathSampler(u, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 8 * u.size**2
+        assert sum(b.size for b in s._blocks) <= u.size**2 / 2 + 128 * u.size
+        assert peak <= 0.62 * 8 * u.size**2
 
     def test_benchmark_grid_factor_reproduces_the_covariance(self):
         # the 4001-point grid above, every 40th row of L L^T against the
-        # Toeplitz covariance with its jitter
+        # Toeplitz covariance with its jitter, L assembled from the blocks
         u = np.linspace(0.0, 40.0 * math.pi, 4001)
-        s = PathSampler(u, 1.0)
+        chol = dense_factor(PathSampler(u, 1.0)._blocks)
         i = np.arange(0, u.size, 40)
         dense = cov_y(u[i, None] - u[None, :], 1.0)
         dense[np.arange(i.size), i] += 1e-12
-        assert np.max(np.abs(s._chol[i] @ s._chol.T - dense)) <= 1e-12
+        assert np.max(np.abs(chol[i] @ chol.T - dense)) <= 1e-12
 
     def test_failed_factorization_names_the_jitter(self, monkeypatch):
         # lags above 1: the 2 x 2 leading minor is negative, so the

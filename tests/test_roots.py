@@ -324,8 +324,7 @@ class TestExactCountRealSamples:
             assert K == want_K
             for law in (sampling.CoefficientLaw.RADEMACHER, sampling.CoefficientLaw.GAUSSIAN):
                 for t in range(25):
-                    ss = np.random.SeedSequence(2026, spawn_key=(n, t))
-                    sample = sampling.draw_sample(seq, law, ss, K, policy)
+                    sample = sampling.draw_sample(seq, law, 2026, K, policy, t=t)
                     w = sample.weights
                     got = count_zeros(sample.evaluate_many, grid).count
                     exact = exact_count_small(w, (grid.a, grid.b))

@@ -97,6 +97,15 @@ class TestDrawing:
         b = draw_sample(FLAT, CoefficientLaw.GAUSSIAN, 42, 500)
         assert np.array_equal(a.xi, b.xi)
 
+    @pytest.mark.parametrize("law", LAWS)
+    def test_trial_index_picks_the_trials_stream(self, law):
+        # t = 0 is the default; trial t reads trial_rng(seed, t), as the scan does
+        assert np.array_equal(draw_sample(FLAT, law, 42, 300, t=0).xi,
+                              draw_sample(FLAT, law, 42, 300).xi)
+        s = draw_sample(FLAT, law, 42, 300, t=5)
+        assert np.array_equal(s.xi, law.draw(trial_rng(42, 5), 0, 301))
+        assert not np.array_equal(s.xi, draw_sample(FLAT, law, 42, 300, t=4).xi)
+
     def test_prefix_stability(self):
         # same seed, doubled K: the sample extends, it does not reshuffle
         for law in LAWS:
