@@ -16,15 +16,20 @@ Four runners, one per question:
   noise: the limit does not feel the law).
 
 Reproducibility contract, for both loops: series trial t draws the stream of
-`trial_rng(master_seed, t)`, counter block (0, 0, t, 0) of `Philox(master_seed)`,
-once per table group (`_table_groups`: tiles whose tables keep one block of
-floats at most; at the CLI's grids, all), a table block at a time, from one of
-`_ROWS` generators `_seek`s to it (the key is read once per group); tile n
-sums a prefix of its weights, `_ROWS` trials per product of that fixed width,
-so a trial's tiles are one series whatever the other trials; oracle path t is
-the t-th block of npoints normals of `trial_rng(seed)`. So counts depend on
-neither M, `_CHUNK` nor the grouping. Seeds do not depend on the law: reruns
-are bitwise identical, and cross-law comparisons are seed-coupled.
+`trial_rng(master_seed, t)`, counter block (0, 0, t, 0) of `Philox(master_seed)`.
+Under a bounded law (Rademacher, uniform) it draws once per table group
+(`_table_groups`: tiles whose tables keep one block of floats at most; at the
+CLI's grids, all), a table block at a time, from one of `_ROWS` generators
+`_seek`s to it (the key is read once per group); tile n sums a prefix of its
+weights, `_ROWS` trials per product of that fixed width, so a trial's tiles are
+one series whatever the other trials. Under the Gaussian law trial t's values
+on every halved-grid point of tiles 0..max(n_max, the last tile asked) are
+R^T z_t, R the scan's one `_grid_factor` of their covariance and z_t the first
+P normals of the stream, `_ROWS` trials per product: equal in law to
+`draw_sample` plus `evaluate_many`, not bit for bit, and the same bits
+whichever of tiles 0..n_max a scan asks for. Oracle path t is the t-th block
+of npoints normals of `trial_rng(seed)`. So values depend on neither M,
+`_CHUNK` nor the grouping, and reruns are bitwise identical.
 """
 
 from __future__ import annotations
@@ -201,22 +206,30 @@ class UniversalityReport:
     pairs: list  # dicts: law_a, law_b, n, mean_diff, combined_stderr
 
 
-def _table_groups(config: ExperimentConfig, tiles: range) -> list:
-    """The tiles as plans of integers (row, n, ScanGrid, K, halved-grid points) in
-    runs of consecutive tiles whose power tables, in the floats `_PowerTable.rows`
-    keeps, fit together in one _EVAL_BLOCK. Builds no grid: a tile's value buffer,
-    halved grid by max(_ROWS, min(_CHUNK, trials)) floats, over it raises MemoryError."""
+def _plans(config: ExperimentConfig, tiles: range) -> list:
+    """The tiles as plans of integers (n, ScanGrid, K, halved-grid points).
+    Builds no grid: a tile's value buffer, halved grid by max(_ROWS, min(_CHUNK,
+    trials)) floats, over one _EVAL_BLOCK raises MemoryError."""
     cap = _EVAL_BLOCK // max(_ROWS, min(_CHUNK, config.trials))
-    groups, used = [], 0
-    for row, n in enumerate(tiles):
+    plans = []
+    for n in tiles:
         grid = ScanGrid(1.0 - config.q**n, 1.0 - config.q ** (n + 1), config.eta, config.gamma)
         K = truncation_degree(config.seq, TruncationPolicy(grid.b, config.delta))
-        size = grid._size(2, cap)
+        plans.append((n, grid, K, grid._size(2, cap)))
+    return plans
+
+
+def _table_groups(config: ExperimentConfig, tiles: range) -> list:
+    """The tiles' `_plans` in runs of consecutive tiles whose power tables, in
+    the floats `_PowerTable.rows` keeps, fit together in one _EVAL_BLOCK."""
+    groups, used = [], 0
+    for plan in _plans(config, tiles):
+        *_, K, size = plan
         floats = _PowerTable.rows(K, size) * size
         if not groups or used + floats > _EVAL_BLOCK:
             groups.append([])
             used = 0
-        groups[-1].append((row, n, grid, K, size))
+        groups[-1].append(plan)
         used += floats
     return groups
 
@@ -226,9 +239,10 @@ def _group_values(config: ExperimentConfig, group: list):
     on its halved grid, in a buffer the next chunk overwrites: the prefix to
     K(n) of the trial's weights xi_k c_k, drawn a table block at a time, summed
     as `evaluate_many` sums them, bit for bit, but c_1 xi_1 at x = 0 (the sign
-    of f(x)/x as x -> 0+). A non-finite value raises EvaluationError."""
+    of f(x)/x as x -> 0+). A non-finite value raises EvaluationError. The
+    bounded laws' path; the Gaussian law's is `_gaussian_values`."""
     tables = [(_PowerTable(grid._points(2), K), np.empty((size, min(_CHUNK, config.trials))))
-              for _, _, grid, K, size in group]
+              for _, grid, K, size in group]
     spans = tables[-1][0].spans()  # the group's largest K
     if any(t.spans() != [(a, min(b, t.K + 1)) for a, b in spans if a <= t.K] for t, _ in tables):
         raise RuntimeError("the power tables of a table group must share block boundaries")
@@ -257,25 +271,116 @@ def _group_values(config: ExperimentConfig, group: list):
         yield lo, [_finite(table.xs, v[:, :m]) for table, v in tables]
 
 
+def _gaussian_plans(config: ExperimentConfig, tiles: range) -> list:
+    """The `_plans` of tiles 0..max(n_max, tiles[-1]), the points one Gaussian
+    factor covers whichever of them a scan asks for. A factor of P^2 floats,
+    P their halved-grid points, over one _EVAL_BLOCK raises MemoryError
+    before anything is built."""
+    plans = _plans(config, range(max(config.n_max, tiles[-1]) + 1))
+    P = sum(size for *_, size in plans)
+    if P * P > _EVAL_BLOCK:
+        raise MemoryError(f"Gaussian grid factor of tiles 0..{len(plans) - 1}: {P} points, "
+                          f"over {math.isqrt(_EVAL_BLOCK)}")
+    return plans
+
+
+def _grid_factor(seq: CoefficientSequence, xs: list, Ks: list) -> np.ndarray:
+    """R, P x P and upper triangular, with R^T R = W^T W, W[k, i] = c_k x_i^k
+    for x_i the points of `xs` in order (one array per tile, P in all) and
+    k <= Ks[j], x_i on tile j, but c_1 e_1 at x = 0 (the scan reads c_1 xi_1
+    there). So R^T z, z P iid normals, is one trial's values on every tile in
+    law. The Gram matrix is numerically singular, so it is never formed: the
+    rows of W are folded in a block at a time, by the QR of [R; block]. Rows
+    K'+1..K, K' < K consecutive values of Ks, reach only the columns whose K
+    is K or more: the block spans the columns from the first of them (with K
+    growing with the tile, just those), and only that corner of R changes.
+    A block holds at most `_PowerTable.rows` rows."""
+    x = np.concatenate(xs)
+    Kx = np.repeat(Ks, [v.size for v in xs])
+    starts = np.cumsum([0] + [v.size for v in xs])
+    P = x.size
+    log_x = np.log(x, out=np.full(P, -np.inf), where=x > 0.0)
+    R = np.zeros((P, P))
+    lo = 1  # row 0 of W is zero: c_0 = 0
+    for K in sorted(set(Ks)):
+        c0 = next(s for s, Kj in zip(starts, Ks) if Kj >= K)
+        step = _PowerTable.rows(K + 1 - lo, P - c0)
+        for a in range(lo, K + 1, step):
+            k = np.arange(a, min(a + step, K + 1), dtype=float)
+            S = np.empty((P - c0 + k.size, P - c0))
+            S[: P - c0] = R[c0:, c0:]
+            block = S[P - c0 :]  # c_k x^k from logs, as `csq` forms c_k^2
+            np.multiply.outer(k, log_x[c0:], out=block)
+            block += 0.5 * seq._log_csq(k)[:, None]
+            np.exp(block, out=block)
+            block[:, Kx[c0:] < K] = 0.0
+            if a == 1 and x[0] == 0.0:
+                block[0, 0] = seq.coeff(1)
+            R[c0:, c0:] = np.linalg.qr(S, mode="r")
+        lo = K + 1
+    return R
+
+
+def _gaussian_values(config: ExperimentConfig, plans: list, tiles: range):
+    """(lo, values) per chunk of trials from lo, values[i] being tile
+    tiles[i] on its halved grid, in a buffer the next chunk overwrites: trial
+    t's values on every plan's points are R^T z_t, R the `_grid_factor` of
+    the plans and z_t the first P normals of `trial_rng(master_seed, t)`,
+    `_ROWS` trials per product of that fixed width. A non-finite value raises
+    EvaluationError."""
+    xs = [grid._points(2) for _, grid, _, _ in plans]
+    R = _grid_factor(config.seq, xs, [K for *_, K, _ in plans])
+    P = len(R)
+    at = np.cumsum([0] + [v.size for v in xs])  # tile n's rows at[n]:at[n+1]
+    V = np.empty((P, min(_CHUNK, config.trials)))
+    Z, out = np.zeros((_ROWS, P)), np.empty((_ROWS, P))
+    rng = trial_rng(config.master_seed)  # seeked to each trial
+    key = rng.bit_generator.state["state"]["key"]
+    for lo in range(0, config.trials, _CHUNK):
+        m = min(_CHUNK, config.trials - lo)
+        for s in range(0, m, _ROWS):
+            h = min(_ROWS, m - s)
+            for t in range(h):
+                _seek(rng, key, lo + s + t)
+                Z[t] = config.law.draw(rng, 0, P)
+            Z[h:] = 0.0  # a short stack's zero rows
+            np.matmul(Z, R, out=out)
+            V[:, s : s + h] = out[:h].T
+        yield lo, [_finite(xs[n], V[at[n] : at[n + 1], :m]) for n in tiles]
+
+
+def _tile_values(config: ExperimentConfig, tiles: range):
+    """(plans, lo, values) per pass and chunk of trials: values[i] is tile
+    plans[i] on its halved grid for the trials from lo. The bounded laws make
+    one pass per `_table_groups` group; the Gaussian law one over all tiles."""
+    if config.law is not CoefficientLaw.GAUSSIAN:
+        for group in _table_groups(config, tiles):
+            yield from ((group, lo, vals) for lo, vals in _group_values(config, group))
+    elif tiles:
+        plans = _gaussian_plans(config, tiles)
+        asked = plans[tiles.start : tiles.stop]
+        yield from ((asked, lo, vals) for lo, vals in _gaussian_values(config, plans, tiles))
+
+
 def _scan(config: ExperimentConfig, tiles: range):
     """Each tile's estimate, and counts[i, t]: trial t's zeros on tile tiles[i]
     from the grid's own points, plus on tile 0 the zero at x = 0 that every path
-    has. One draw per trial per `_table_groups` group; the CLI's grids make one."""
+    has. One draw per trial per `_tile_values` pass; the CLI's grids make one."""
     target = interval_target(config.gamma, config.q)
     counts = np.empty((len(tiles), config.trials), dtype=int)
     unstable = np.zeros(len(tiles), dtype=int)
-    groups = _table_groups(config, tiles)
-    for group in groups:
-        for lo, vals in _group_values(config, group):
-            for (i, _, grid, *_), v in zip(group, vals):
-                own, stable = _halved_counts(v)
-                counts[i, lo : lo + own.size] = own + (grid.a == 0.0)
-                unstable[i] += np.count_nonzero(~stable)
-        del vals, v  # freed before the next group's grids and power tables are built
+    grids = {}
+    for plans, lo, vals in _tile_values(config, tiles):
+        for (n, grid, *_), v in zip(plans, vals):
+            own, stable = _halved_counts(v)
+            counts[n - tiles.start, lo : lo + own.size] = own + (grid.a == 0.0)
+            unstable[n - tiles.start] += np.count_nonzero(~stable)
+            grids[n] = grid
+        del vals, v  # freed before the next pass's grids and power tables are built
     return [IntervalEstimate.from_counts(
-        counts[i], target, n=n, a=grid.a, b=grid.b, law=config.law.value,
+        counts[i], target, n=n, a=grids[n].a, b=grids[n].b, law=config.law.value,
         unstable_fraction=float(unstable[i] / config.trials),
-    ) for group in groups for i, n, grid, *_ in group], counts
+    ) for i, n in enumerate(tiles)], counts
 
 
 # jobs is ignored; bench/workloads.py SimulatePreset.jobs2_speedup passes it
@@ -317,9 +422,11 @@ def run_cumulative(config: ExperimentConfig, r_list) -> SlopeReport:
     ValueError. [0, r) is the union of tiles 0..m-1, and trial t scans them
     all on one series, so its count on [0, r) is the sum of its tile counts.
     The report gives the mean and sd(ddof=1)/sqrt(M) of these per-trial
-    sums. The config's n_min/n_max are ignored in favor of the tiles r_list
-    requires. The slope is least squares over the last ceil(half) points of
-    cumulative mean against -log(1-r).
+    sums. The tiles r_list requires replace the config's n_min..n_max, but
+    under the Gaussian law the factor still covers tiles 0..n_max at least,
+    so each tile keeps the bits of every other scan of the config. The slope
+    is least squares over the last ceil(half) points of cumulative mean
+    against -log(1-r).
     """
     rs = sorted(float(r) for r in r_list)
     if any(not (0.0 < r < 1.0) for r in rs):

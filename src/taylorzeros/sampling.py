@@ -20,7 +20,10 @@ Rademacher sign k is bit k % 64 of the stream's (k // 64)-th 64-bit word and
 uniform variate k is read from word k, so a block of either is read from its
 own position; Gaussian draws continue the stream. So a sample is a pure
 function of (sequence, law, seed, t, K) and the first K+1 draws of a longer
-stream match the shorter one.
+stream match the shorter one. Under the bounded laws the series scan draws
+and sums trial t's sample bit for bit; under the Gaussian law it reads the
+trial's first P normals z and takes R^T z, R a factor of the grid values'
+covariance (`experiments._grid_factor`): the same law, not the same bits.
 """
 
 from __future__ import annotations
@@ -241,7 +244,9 @@ def draw_sample(
     """Draw xi_0..xi_K from `law`; deterministic in (law, seed, K, t).
 
     `seed` is a `trial_rng` seed, and the draw is trial t's stream, as the scan
-    reads it. A larger K extends the sample: the first K+1 variates agree.
+    reads it under a bounded law; a Gaussian-law scan's trial t is R^T z on
+    the same stream, equal to this sample's values in law only. A larger K
+    extends the sample: the first K+1 variates agree.
     """
     if K < 0:
         raise ValueError("K must be >= 0")

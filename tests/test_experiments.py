@@ -15,10 +15,12 @@ from taylorzeros import cli
 from taylorzeros.coeffs import Constant, LogLog, LogPower
 from taylorzeros.experiments import (
     ExperimentConfig,
+    _grid_factor,
     _group_values,
     _scan,
     _simulate,
     _table_groups,
+    _tile_values,
     _tiles_for,
     interval_target,
     run_cumulative,
@@ -190,22 +192,24 @@ def _reference_values(cfg, n):
 
 
 def _engine_values(cfg, tiles):
-    """{n: tile n's values, shape (points, M)} from the grouped engine, the
-    chunks joined (each chunk copied: the next one overwrites its buffer)."""
-    out = {}
-    for group in _table_groups(cfg, tiles):
-        chunks = [[v.copy() for v in vals] for _, vals in _group_values(cfg, group)]
-        for i, (_, n, *_) in enumerate(group):
-            out[n] = np.hstack([c[i] for c in chunks])
-    return out
+    """{n: tile n's values, shape (points, M)} from the engine's passes (table
+    groups, or the Gaussian factor's one pass), the chunks joined (each chunk
+    copied: the next one overwrites its buffer)."""
+    chunks = {}
+    for plans, _, vals in _tile_values(cfg, tiles):
+        for (n, *_), v in zip(plans, vals):
+            chunks.setdefault(n, []).append(v.copy())
+    return {n: np.hstack(c) for n, c in chunks.items()}
 
 
-@pytest.mark.parametrize("law", list(CoefficientLaw))
+@pytest.mark.parametrize("law", [CoefficientLaw.RADEMACHER, CoefficientLaw.UNIFORM])
 @pytest.mark.parametrize("n", [0, 4, 10])
 def test_engine_matches_evaluate_many_bitwise(law, n):
     # a scan of tiles 0..n: tiles in one table group share one draw per trial,
     # at the group's largest K, and each must still match its own draw; 9
-    # trials fill rows 0..7 of one product and row 0 of a second, zero-padded
+    # trials fill rows 0..7 of one product and row 0 of a second, zero-padded.
+    # The bounded laws only: a Gaussian trial is R^T z, equal in law
+    # (test_gaussian_factor_matches_the_truncated_covariance)
     cfg = small_config(law=law, trials=9)
     assert n == 0 or len(_table_groups(cfg, range(n + 1))[0]) > 1
     vals = _engine_values(cfg, range(n + 1))
@@ -233,9 +237,10 @@ def test_engine_matches_evaluate_many_at_seed_edges(monkeypatch, seed, chunk, tr
 
 def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
     # 13 points and 64-element blocks: 4 powers per block, 128 blocks at K=512;
-    # tiles 0..3 share a draw at K=256
+    # tiles 0..3 share a draw at K=256 (uniform variates, each read from its
+    # own stream position)
     monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", 64)
-    cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=5)
+    cfg = small_config(law=CoefficientLaw.UNIFORM, trials=5)
     vals = _engine_values(cfg, range(5))
     assert vals[4].shape == (13, 5)
     for n in range(5):
@@ -246,13 +251,15 @@ def test_engine_matches_evaluate_many_across_table_blocks(monkeypatch):
 def test_trial_values_do_not_depend_on_trial_count(m):
     # trial t's values are a function of t alone, so M=m is a prefix of M=20;
     # a product as wide as the trial count fails this at m=1 and m=2 (1, 2 and
-    # 3+ rows sum differently), so every product has _ROWS rows, zero-padded
-    short = _engine_values(small_config(trials=m), range(11))
-    long = _engine_values(small_config(trials=20), range(11))
-    for n in range(11):
-        assert np.array_equal(long[n][:, :m], short[n])
-        assert np.array_equal(path_zero_counts(long[n][::2])[:m],
-                              path_zero_counts(short[n][::2]))
+    # 3+ rows sum differently), so every product has _ROWS rows, zero-padded;
+    # for the Gaussian law too, whose products are z^T R, 8 trials' normals
+    for law in (CoefficientLaw.RADEMACHER, CoefficientLaw.GAUSSIAN):
+        short = _engine_values(small_config(law=law, trials=m), range(11))
+        long = _engine_values(small_config(law=law, trials=20), range(11))
+        for n in range(11):
+            assert np.array_equal(long[n][:, :m], short[n])
+            assert np.array_equal(path_zero_counts(long[n][::2])[:m],
+                                  path_zero_counts(short[n][::2]))
 
 
 def test_group_tables_must_share_block_boundaries(monkeypatch):
@@ -261,10 +268,10 @@ def test_group_tables_must_share_block_boundaries(monkeypatch):
     # tile in other blocks than evaluate_many does, so the scan refuses it
     monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", 64)
     cfg = small_config(trials=3)
-    (row, n, grid, K, _), *rest = _table_groups(cfg, range(5))[0]
+    (n, grid, K, _), *rest = _table_groups(cfg, range(5))[0]
     finer = replace(grid, eta=grid.eta / 2)
     with pytest.raises(RuntimeError, match="share block boundaries"):
-        list(_group_values(cfg, [(row, n, finer, K, finer._size(2))] + rest))
+        list(_group_values(cfg, [(n, finer, K, finer._size(2))] + rest))
 
 
 def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
@@ -349,14 +356,14 @@ def test_table_groups_fit_in_the_largest_table(monkeypatch, q, block):
     cfg = ExperimentConfig(gamma=1.0, q=q, trials=1)
     groups = _table_groups(cfg, range(8))
     plans = [p for g in groups for p in g]
-    assert [p[:2] for p in plans] == list(enumerate(range(8)))  # each tile once, in order
-    for _, n, grid, K, size in plans:
+    assert [p[0] for p in plans] == list(range(8))  # each tile once, in order
+    for n, grid, K, size in plans:
         a, b = _tile(cfg, n)
         assert grid == ScanGrid(a, b, cfg.eta, cfg.gamma)
         assert K == truncation_degree(cfg.seq, TruncationPolicy(b, cfg.delta))
         pts = ScanGrid(a, b, cfg.eta, cfg.gamma)._points(2)
         assert np.array_equal(grid._points(2), pts) and size == pts.size
-    sizes = [[_PowerTable(grid._points(2), K).P.size for _, _, grid, K, _ in g] for g in groups]
+    sizes = [[_PowerTable(grid._points(2), K).P.size for _, grid, K, _ in g] for g in groups]
     budget = block or sampling_mod._EVAL_BLOCK
     assert all(sum(s) <= budget or len(s) == 1 for s in sizes)
     assert all(len(s) == 1 for s in sizes if max(s) > budget)  # over a block: alone
@@ -389,7 +396,7 @@ def test_simulate_peak_memory_stays_near_one_table():
     # 8-row weight block, c and one block's draw)
     cfg = ExperimentConfig(gamma=1.0, trials=50)
     (group,) = _table_groups(cfg, range(11))
-    table_bytes = sum(_PowerTable(grid._points(2), K).P.nbytes for _, _, grid, K, _ in group)
+    table_bytes = sum(_PowerTable(grid._points(2), K).P.nbytes for _, grid, K, _ in group)
     tracemalloc.start()
     try:
         _simulate(cfg)
@@ -418,7 +425,7 @@ def test_deep_group_peak_memory_per_term(monkeypatch):
     for mod in (sampling_mod, experiments_mod):
         monkeypatch.setattr(mod, "_EVAL_BLOCK", 4096)
     cfg = ExperimentConfig(gamma=1.0, trials=2)
-    group = next(g for g in _table_groups(cfg, range(11)) if g[-1][1] == 10)
+    group = next(g for g in _table_groups(cfg, range(11)) if g[-1][0] == 10)
     K = max(K for *_, K, _ in group)
     list(_group_values(cfg, group))  # warm-up
     tracemalloc.start()
@@ -450,11 +457,16 @@ def test_scan_grid_past_its_bound_raises_before_allocating(monkeypatch):
 
 
 def test_tile_rows_do_not_depend_on_which_tiles_run():
-    cfg = small_config(trials=30)
-    all_ests, all_counts = _scan(cfg, range(0, 7))
-    ests, counts = _scan(cfg, range(4, 7))
-    assert np.array_equal(all_counts[4:], counts)
-    assert [e.__dict__ for e in all_ests[4:]] == [e.__dict__ for e in ests]
+    # the Gaussian factor covers tiles 0..n_max whichever of them a scan asks
+    # for, so its values, like the coefficient path's, are the same bits
+    for law in (CoefficientLaw.RADEMACHER, CoefficientLaw.GAUSSIAN):
+        cfg = small_config(law=law, trials=30)
+        all_ests, all_counts = _scan(cfg, range(0, 7))
+        ests, counts = _scan(cfg, range(4, 7))
+        assert np.array_equal(all_counts[4:], counts)
+        assert [e.__dict__ for e in all_ests[4:]] == [e.__dict__ for e in ests]
+        all_vals, vals = _engine_values(cfg, range(0, 7)), _engine_values(cfg, range(5, 6))
+        assert np.array_equal(all_vals[5], vals[5])
 
 
 def test_tile_zero_counts_the_zero_at_the_origin_once():
@@ -470,21 +482,25 @@ def test_tile_zero_counts_the_zero_at_the_origin_once():
 
 
 def test_nonfinite_draw_raises_evaluation_error(monkeypatch):
+    # trial 2's xi_1, or under the Gaussian law its second normal, whose row
+    # of R reaches every point past x = 0, is NaN; the error names the first
+    # point of the scanned tile
     draw = CoefficientLaw.draw
-    calls = []
+    for law in (CoefficientLaw.RADEMACHER, CoefficientLaw.GAUSSIAN):
+        calls = []
 
-    def nan_on_third_trial(self, rng, lo, hi):
-        xi = draw(self, rng, lo, hi)
-        calls.append(hi - lo)
-        if len(calls) == 3:
-            xi[1] = np.nan
-        return xi
+        def nan_on_third_trial(self, rng, lo, hi):
+            xi = draw(self, rng, lo, hi)
+            calls.append(hi - lo)
+            if len(calls) == 3:
+                xi[1] = np.nan
+            return xi
 
-    monkeypatch.setattr(CoefficientLaw, "draw", nan_on_third_trial)
-    cfg = small_config(n_min=5, n_max=5, trials=4)
-    with pytest.raises(EvaluationError) as err:
-        run_interval_experiment(cfg)
-    assert err.value.x == _tile(cfg, 5)[0] and math.isnan(err.value.value)
+        monkeypatch.setattr(CoefficientLaw, "draw", nan_on_third_trial)
+        cfg = small_config(law=law, n_min=5, n_max=5, trials=4)
+        with pytest.raises(EvaluationError) as err:
+            run_interval_experiment(cfg)
+        assert err.value.x == _tile(cfg, 5)[0] and math.isnan(err.value.value)
 
 
 def test_single_trial_gives_nan_spread_without_crashing():
@@ -509,11 +525,12 @@ def test_deep_interval_mean_approaches_limit():
 
 def test_scan_stability_matches_count_zeros():
     # at gamma 64 and eta 2 each tile's grid is one gap holding 0.88 zeros on
-    # average, and about 60% of trials count differently on the halved grid of
-    # some tile 1..6, so all 40 stable has odds near 1e-17 whatever the seed; the
-    # scan's unstable_fraction and counts are count_zeros' on each trial's own
-    # draw (tile 0 differs at x = 0, where f vanishes)
-    cfg = small_config(law=CoefficientLaw.GAUSSIAN, gamma=64.0, eta=2.0, trials=40, master_seed=5)
+    # average, and about 62% of uniform-law trials count differently on the
+    # halved grid of some tile 1..6 (61.7% of 20,000), so all 40 stable has odds
+    # near 2e-17 whatever the seed; the scan's unstable_fraction and counts are
+    # count_zeros' on each trial's own draw (tile 0 differs at x = 0, where f
+    # vanishes)
+    cfg = small_config(law=CoefficientLaw.UNIFORM, gamma=64.0, eta=2.0, trials=40, master_seed=5)
     ests, counts = _scan(cfg, range(7))
     assert any(e.unstable_fraction > 0 for e in ests[1:])
     for n in range(1, 7):
@@ -551,6 +568,113 @@ def test_scan_counts_the_trials_draw_sample_draws_and_the_exact_oracle_agrees():
             else:
                 assert mismatch_attributable(s.weights, (a, b), cfg.eta), (n, t)
     assert agree >= 0.99 * 3 * cfg.trials
+
+
+# ------------------------------------------------------------ Gaussian law
+
+
+def _factor_points(cfg):
+    """The halved grids and the K of tiles 0..n_max: what one factor covers."""
+    plans = experiments_mod._gaussian_plans(cfg, range(cfg.n_max + 1))
+    return [grid._points(2) for _, grid, _, _ in plans], [K for *_, K, _ in plans]
+
+
+def _truncated_gram(seq, xs, Ks):
+    """sum_{k <= min(K_i, K_j)} c_k^2 (x_i x_j)^k, the sum over k taken a block
+    of 4096 terms at a time, with c_1 e_1 for the x = 0 point's weights."""
+    x = np.concatenate(xs)
+    Kx = np.repeat(Ks, [v.size for v in xs])
+    G = np.zeros((x.size, x.size))
+    for a in range(0, max(Ks) + 1, 4096):
+        k = np.arange(a, min(a + 4096, max(Ks) + 1))[:, None]
+        W = np.where(k <= Kx, seq.coeff(k.ravel())[:, None] * x**k, 0.0)
+        if x[0] == 0.0:
+            W[:, 0] = np.where(k.ravel() == 1, seq.coeff(1), 0.0)
+        G += W.T @ W
+    return G
+
+
+@pytest.mark.parametrize("block, gamma, slow", [(None, 1.0, Constant()), (64, 1.0, Constant()),
+                                               (None, 2.5, LogLog())],
+                         ids=["None", "64", "gamma2.5-loglog"])
+def test_gaussian_factor_matches_the_truncated_covariance(monkeypatch, block, gamma, slow):
+    # R^T R is the covariance of the truncated series on tiles 0..10's halved
+    # grids: the blocks between tiles (each truncated at its own K), and the
+    # x = 0 point, where the scan reads c_1 xi_1. A 64-float block folds the
+    # rows in one to four at a time; the factor forms c_k x^k from logs, the
+    # reference as c_k times x^k
+    if block:
+        monkeypatch.setattr(sampling_mod, "_EVAL_BLOCK", block)
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, gamma=gamma, slow=slow, n_max=10)
+    xs, Ks = _factor_points(cfg)
+    assert len(set(Ks)) == 11 and xs[0][0] == 0.0 and sum(v.size for v in xs) > 11 * 12
+    R = _grid_factor(cfg.seq, xs, Ks)
+    assert np.array_equal(R, np.triu(R))
+    G = _truncated_gram(cfg.seq, xs, Ks)
+    d = np.sqrt(np.diag(G))
+    assert np.max(np.abs(R.T @ R - G) / np.outer(d, d)) < 1e-13
+
+
+def test_gaussian_trial_values_are_the_factor_times_the_trial_normals():
+    # trial t's values are z_t^T R, z_t the first P normals of
+    # trial_rng(master_seed, t), summed in a product of _ROWS rows; a scan of
+    # tiles 4..6 reads their columns of the factor of tiles 0..n_max
+    cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=9)
+    xs, Ks = _factor_points(cfg)
+    R = _grid_factor(cfg.seq, xs, Ks)
+    ends = np.cumsum([v.size for v in xs])
+    vals = _engine_values(cfg, range(4, 7))
+    for t in range(cfg.trials):
+        Z = np.zeros((sampling_mod._ROWS, len(R)))
+        Z[0] = trial_rng(cfg.master_seed, t).standard_normal(len(R))
+        want = (Z @ R)[0]
+        for n in range(4, 7):
+            assert np.array_equal(vals[n][:, t], want[ends[n] - xs[n].size : ends[n]])
+
+
+def _sheppard_grid_count(gamma, grid):
+    """The expected zeros of the Gaussian law on the grid's own points when f/x
+    has covariance (1 - xy)^(-gamma), as `Constant` gives at gamma 1 and 2
+    (c_k^2 = (gamma)_(k-1) / (k-1)!): adjacent values have correlation
+    r = ((1-x^2)(1-y^2))^(gamma/2) / (1-xy)^gamma and change sign with
+    probability arccos(r)/pi (Sheppard, 1899), plus 1 on tile 0 for x = 0."""
+    x = grid.points()
+    x, y = x[:-1], x[1:]
+    log_r = gamma * (0.5 * (np.log1p(-x * x) + np.log1p(-y * y)) - np.log1p(-x * y))
+    arccos = 2.0 * np.arcsin(np.sqrt(-np.expm1(log_r) / 2.0))
+    return float(arccos.sum() / math.pi) + (grid.a == 0.0)
+
+
+@pytest.mark.parametrize("eta", [0.02, 0.1])
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_gaussian_scan_means_match_the_grid_sheppard_count(gamma, eta):
+    # the exact expected count of the scan's own grid on tiles 0..8, no
+    # modelling slack: M = 20,000 trials, z = (mean - S) / stderr per tile, and
+    # sum z^2 under 27.9, the chi-square 99.9% point on 9 degrees of freedom
+    cfg = ExperimentConfig(gamma=gamma, law=CoefficientLaw.GAUSSIAN, n_min=0, n_max=8,
+                           eta=eta, trials=20_000, master_seed=31337)
+    ests = run_interval_experiment(cfg)
+    z = [(e.mean_count - _sheppard_grid_count(gamma, ScanGrid(e.a, e.b, eta, gamma))) / e.stderr
+         for e in ests]
+    assert sum(v * v for v in z) < 27.9 and max(map(abs, z)) < 4.0, z
+
+
+def test_gaussian_factor_past_its_bound_raises_before_allocating():
+    # the factor keeps P^2 floats, P the halved-grid points of tiles 0..n_max,
+    # so P over 4096 (one _EVAL_BLOCK) raises MemoryError at planning: at
+    # eta = 5e-4 the preset's tiles have 443 points each, 4873 in all (a 190 MB
+    # factor), and neither grids, factor nor buffers are built. A scan of tile
+    # 10 alone raises too: the factor covers tiles 0..n_max
+    cfg = ExperimentConfig(gamma=1.0, law=CoefficientLaw.GAUSSIAN, eta=5e-4)
+    for run in (_simulate, lambda c: run_interval_experiment(replace(c, n_min=10))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="4873 points, over 4096"):
+                run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 # ------------------------------------------------------------ cumulative
