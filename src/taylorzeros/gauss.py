@@ -15,10 +15,11 @@ so the expected count on [a, b] in the t coordinate is
 (sqrt(gamma)/2 pi) log(b/a). Paths are L z, L the Cholesky factor of the
 Toeplitz covariance of an equally spaced grid of at most `_MAX_PATH_GRID` (1e4)
 points plus diagonal jitter `_JITTER` (1e-12), built from the n lags by the
-Schur algorithm in O(n^2) flops as the row blocks L[lo:hi, :hi] that L z
-multiplies: n^2/2 + 128 n floats and one 256 x n band, 430 MB at the cap
-against 800 MB dense. The oracle's grid has `roots._u_grid_size` points under
-the cap, and `roots.path_zero_counts` counts by the series' half-open rule.
+Schur algorithm in O(n^2) flops as the row blocks U[lo:hi, lo:] of U = L^T
+that it writes, and drawn as z U with z's rows the paths: n^2/2 + 128 n
+floats, 410 MB at the cap against 800 MB dense. The oracle's grid has
+`roots._u_grid_size` points under the cap, and `roots.path_zero_counts`
+counts by the series' half-open rule.
 """
 
 from __future__ import annotations
@@ -68,41 +69,37 @@ def expected_zeros_rice(a: float, b: float, gamma: float) -> float:
 
 
 def _toeplitz_cholesky(r: np.ndarray) -> list:
-    """Lower Cholesky factor L of the symmetric Toeplitz matrix with first row
-    r, as the C-order row blocks L[lo:hi, :hi], lo a multiple of `_DRAW_BLOCK`,
-    that `PathSampler.draw` multiplies: n^2/2 + 128 n floats.
+    """Upper Cholesky factor U = L^T of the symmetric Toeplitz matrix with
+    first row r, as the C-order row blocks U[lo:hi, lo:], lo a multiple of
+    `_DRAW_BLOCK`, that `PathSampler.draw` multiplies: n^2/2 + 128 n floats.
 
     The Schur algorithm: the generator (g1, g2) of T - Z T Z^T, Z the shift,
     loses one column per step to a hyperbolic rotation, applied in the mixed
     form that is backward stable on positive definite input (Bojanczyk,
     Brent, de Hoog and Sweet, SIAM J. Matrix Anal. Appl. 16, 1995). O(n^2)
-    flops. Row k of U = L^T goes to one reused band of `_DRAW_BLOCK` rows,
-    copied transposed into the blocks every `_DRAW_BLOCK` steps. A rotation
-    with |rho| >= 1, or NaN, means T is not numerically positive definite.
+    flops. Step k writes g1, row k of U from its diagonal on, into its block.
+    A rotation with |rho| >= 1, or NaN, means T is not numerically positive
+    definite.
     """
     n, B = r.size, _DRAW_BLOCK
-    blocks = [np.empty((min(n - lo, B), min(n, lo + B))) for lo in range(0, n, B)]
-    buf = np.empty(B * n)
+    blocks = [np.empty((min(B, n - lo), n - lo)) for lo in range(0, n, B)]
     g1 = r / math.sqrt(r[0])
     g2 = g1.copy()
     g2[0] = 0.0
-    for kb in range(0, n, B):
-        band = buf[: min(B, n - kb) * (n - kb)].reshape(-1, n - kb)  # U[kb:kb+B, kb:]
-        for j in range(band.shape[0]):
-            if kb + j:
-                g1, g2 = g1[:-1], g2[1:]  # shift g1 down one place; drop g2's zero
-                rho = g2[0] / g1[0]
-                if not abs(rho) < 1.0:
-                    raise CovarianceConditioningError(
-                        f"Cholesky failed at jitter {_JITTER} on {n} points"
-                    )
-                s = math.sqrt((1.0 - rho) * (1.0 + rho))
-                g1 = (g1 - rho * g2) / s
-                g2 *= s
-                g2 -= rho * g1
-            band[j, :j], band[j, j:] = 0.0, g1  # row kb + j of U, column kb + j of L
-        for lo in range(kb, n, B):
-            blocks[lo // B][:, kb : kb + B] = band[:, lo - kb : lo - kb + B].T
+    for k in range(n):
+        if k:
+            g1, g2 = g1[:-1], g2[1:]  # shift g1 down one place; drop g2's zero
+            rho = g2[0] / g1[0]
+            if not abs(rho) < 1.0:
+                raise CovarianceConditioningError(
+                    f"Cholesky failed at jitter {_JITTER} on {n} points"
+                )
+            s = math.sqrt((1.0 - rho) * (1.0 + rho))
+            g1 = (g1 - rho * g2) / s
+            g2 *= s
+            g2 -= rho * g1
+        b, j = divmod(k, B)
+        blocks[b][j, :j], blocks[b][j, j:] = 0.0, g1  # row k of U
     return blocks
 
 
@@ -114,7 +111,7 @@ class PathSampler:
     diagonal (so it is relative), before the one factorization, which at the
     oracle's grid steps nearly always fails without it (a failure raises
     CovarianceConditioningError); `self.jitter` records it. The sampler keeps
-    the factor's row blocks from `_toeplitz_cholesky` and no n x n array.
+    the upper factor's row blocks from `_toeplitz_cholesky` and no n x n array.
     """
 
     def __init__(self, u, gamma: float):
@@ -139,13 +136,14 @@ class PathSampler:
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """(npoints, m) array of independent paths from `rng`, path j taking
         the next npoints normals, so split calls continue one path sequence.
-        L z goes by the factor's row blocks, each against the columns up to
-        its last row: half the flops of the dense product."""
+        With paths as the rows of z, z U goes by the factor's row blocks, each
+        against its own columns of z: half the flops of the dense product."""
         if not (_is_int(m) and m >= 1):
             raise ValueError(f"m must be an integer >= 1, got {m!r}")
-        z = rng.standard_normal((m, self.u.size)).T
-        out = np.empty((self.u.size, m))
-        for blk in self._blocks:
-            hi = blk.shape[1]
-            np.matmul(blk, z[:hi], out=out[hi - blk.shape[0] : hi])
-        return out
+        n = self.u.size
+        z = rng.standard_normal((m, n))
+        out = z[:, :_DRAW_BLOCK] @ self._blocks[0]
+        for blk in self._blocks[1:]:
+            lo = n - blk.shape[1]
+            out[:, lo:] += z[:, lo : lo + blk.shape[0]] @ blk
+        return out.T

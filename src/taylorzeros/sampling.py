@@ -248,7 +248,7 @@ def draw_sample(
     the same stream, equal to this sample's values in law only. A larger K
     extends the sample: the first K+1 variates agree.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    if not (_is_int(K) and K >= 0):
+        raise ValueError(f"K must be a nonnegative integer, got {K!r}")
     xi = law.draw(trial_rng(seed, t), 0, K + 1)
     return SeriesSample(seq=seq, xi=xi, policy=policy)

@@ -288,11 +288,13 @@ def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
     assert [e.__dict__ for e in chunked_ests] == [e.__dict__ for e in ests]
 
 
-def test_table_grouping_moves_no_bit(monkeypatch):
+@pytest.mark.parametrize("law", [CoefficientLaw.RADEMACHER, CoefficientLaw.UNIFORM])
+def test_table_grouping_moves_no_bit(monkeypatch, law):
     # a smaller planner block splits tiles 0..10 into several groups (the
     # tables keep their own block); each trial then draws its series once per
-    # group, and every value, count and estimate matches the one-group scan
-    cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=20)
+    # group, and every value, count and estimate matches the one-group scan.
+    # Only the bounded laws group: a Gaussian-law scan draws from one factor
+    cfg = small_config(law=law, trials=20)
     assert len(_table_groups(cfg, range(11))) == 1
     vals, (ests, counts) = _engine_values(cfg, range(11)), _scan(cfg, range(11))
     monkeypatch.setattr(experiments_mod, "_EVAL_BLOCK", 1 << 16)

@@ -217,20 +217,24 @@ class TestPathSampler:
     @pytest.mark.parametrize("npts", [257, 1001])
     @pytest.mark.parametrize("m", [1, 3, 7, 256])
     def test_draw_is_the_dense_row_block_product_bit_for_bit(self, npts, m):
-        # the factor is the C-order row blocks L[lo:hi, :hi], lo a multiple of
-        # the block size, and a draw is each block's product with z[:hi], bit
-        # for bit what the same rows of the dense factor give; a transposed
-        # (Fortran-order) block changes the m = 3 draws in the last bits
+        # the factor is the C-order row blocks U[lo:hi, lo:] of U = L^T, lo a
+        # multiple of the block size, and a draw is z U with paths as the
+        # rows of z: the first block's product, then each later block's added
+        # to columns lo on, bit for bit what the same rows of the dense U
+        # give; a transposed (Fortran-order) block changes the m = 1, 3 and 7
+        # draws in the last bits
         s = PathSampler(np.linspace(0.0, 20.0 * math.pi, npts), 1.0)
-        dense = dense_factor(s._blocks)
+        upper = dense_factor(s._blocks).T
         los = list(range(0, npts, _DRAW_BLOCK))
         his = los[1:] + [npts]
-        assert [b.shape for b in s._blocks] == [(hi - lo, hi) for lo, hi in zip(los, his)]
+        assert [b.shape for b in s._blocks] == [(hi - lo, npts - lo) for lo, hi in zip(los, his)]
         assert all(b.flags.c_contiguous for b in s._blocks)
         got = s.draw(trial_rng(3), m)
-        z = trial_rng(3).standard_normal((m, npts)).T
-        for lo, hi in zip(los, his):
-            assert np.array_equal(got[lo:hi], np.matmul(dense[lo:hi, :hi], z[:hi]))
+        z = trial_rng(3).standard_normal((m, npts))
+        want = z[:, : his[0]] @ upper[: his[0]]
+        for lo, hi in zip(los[1:], his[1:]):
+            want[:, lo:] += z[:, lo:hi] @ upper[lo:hi, lo:]
+        assert np.array_equal(got, want.T)
 
     def test_split_draws_continue_one_sequence_of_paths(self):
         # path j takes the next n normals of the stream, so 3 paths then 4
@@ -246,9 +250,10 @@ class TestPathSampler:
     def test_sampler_builds_no_dense_covariance(self):
         # the benchmark's oracle grid, [0, 40 pi] at eta=0.005: 4001 points.
         # The factor's row blocks hold n^2/2 + 128 n floats (0.532 of 8 n^2
-        # bytes here) and the Schur steps one band of 256 x n (0.064) plus
-        # O(n); the dense n x n factor read 1.0, the dense covariance built
-        # from pairwise differences 4.0 and LAPACK's copy of the lag view 2.0.
+        # bytes here) and the Schur steps O(n) more, 0.533 in all; a 256 x n
+        # scratch band read 0.597, the dense n x n factor 1.0, the dense
+        # covariance built from pairwise differences 4.0 and LAPACK's copy of
+        # the lag view 2.0.
         u = np.linspace(0.0, 40.0 * math.pi,
                         _u_grid_size(0.0, 40.0 * math.pi, 0.005, 1.0, cap=_MAX_PATH_GRID))
         assert u.size == 4001
@@ -259,7 +264,7 @@ class TestPathSampler:
         finally:
             tracemalloc.stop()
         assert sum(b.size for b in s._blocks) <= u.size**2 / 2 + 128 * u.size
-        assert peak <= 0.62 * 8 * u.size**2
+        assert peak <= 0.55 * 8 * u.size**2
 
     def test_benchmark_grid_factor_reproduces_the_covariance(self):
         # the 4001-point grid above, every 40th row of L L^T against the

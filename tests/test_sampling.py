@@ -106,6 +106,13 @@ class TestDrawing:
         assert np.array_equal(s.xi, law.draw(trial_rng(42, 5), 0, 301))
         assert not np.array_equal(s.xi, draw_sample(FLAT, law, 42, 300, t=4).xi)
 
+    def test_degree_must_be_a_nonnegative_integer(self):
+        # True would draw two variates and 2.5 fail inside numpy
+        for K in (2.5, True, -1, "3"):
+            with pytest.raises(ValueError, match="K must be a nonnegative integer"):
+                draw_sample(FLAT, CoefficientLaw.GAUSSIAN, 42, K)
+        assert draw_sample(FLAT, CoefficientLaw.GAUSSIAN, 42, np.int64(3)).xi.size == 4
+
     def test_prefix_stability(self):
         # same seed, doubled K: the sample extends, it does not reshuffle
         for law in LAWS:
