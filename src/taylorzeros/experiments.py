@@ -16,20 +16,20 @@ Four runners, one per question:
   noise: the limit does not feel the law).
 
 Reproducibility contract, for both loops: series trial t draws the stream of
-`trial_rng(master_seed, t)`, counter block (0, 0, t, 0) of `Philox(master_seed)`.
-Under a bounded law (Rademacher, uniform) it draws once per table group
-(`_table_groups`: tiles whose tables keep one block of floats at most; at the
-CLI's grids, all), a table block at a time, from one of `_ROWS` generators
-`_seek`s to it (the key is read once per group); tile n sums a prefix of its
-weights, `_ROWS` trials per product of that fixed width, so a trial's tiles are
-one series whatever the other trials. Under the Gaussian law trial t's values
-on every halved-grid point of tiles 0..max(n_max, the last tile asked) are
-R^T z_t, R the scan's one `_grid_factor` of their covariance and z_t the first
-P normals of the stream, `_ROWS` trials per product: equal in law to
-`draw_sample` plus `evaluate_many`, not bit for bit, and the same bits
-whichever of tiles 0..n_max a scan asks for. Oracle path t is the t-th block
-of npoints normals of `trial_rng(seed)`. So values depend on neither M,
-`_CHUNK` nor the grouping, and reruns are bitwise identical.
+`trial_rng(master_seed, t)`, counter block (0, 0, t, 0) of `Philox(master_seed)`,
+from one of `_ROWS` generators `_seek`ed to it, `_ROWS` trials per product of
+that fixed width, in the scan's one trial loop (`_tile_values`): one pass per
+table group under a bounded law (Rademacher, uniform; `_table_groups`: tiles
+whose tables keep one block of floats at most; at the CLI's grids, all), one
+under the Gaussian law. A bounded-law trial draws once per pass, a table block
+at a time, and tile n sums a prefix of its weights, so a trial's tiles are one
+series whatever the other trials. A Gaussian-law trial's values on every
+halved-grid point of tiles 0..max(n_max, the last tile asked) are R^T z_t, R
+the scan's one `_grid_factor` of their covariance and z_t the first P normals
+of the stream: equal in law to `draw_sample` plus `evaluate_many`, not bit for
+bit, and the same bits whichever of tiles 0..n_max a scan asks for. Oracle path
+t is the t-th block of npoints normals of `trial_rng(seed)`. So values depend
+on neither M, `_CHUNK` nor the grouping, and reruns are bitwise identical.
 """
 
 from __future__ import annotations
@@ -208,8 +208,9 @@ class UniversalityReport:
 
 def _plans(config: ExperimentConfig, tiles: range) -> list:
     """The tiles as plans of integers (n, ScanGrid, K, halved-grid points).
-    Builds no grid: a tile's value buffer, halved grid by max(_ROWS, min(_CHUNK,
-    trials)) floats, over one _EVAL_BLOCK raises MemoryError."""
+    Builds no grid: a tile's rows of its pass's value buffer and product
+    scratch, halved grid by max(_ROWS, min(_CHUNK, trials)) floats, over one
+    _EVAL_BLOCK raise MemoryError."""
     cap = _EVAL_BLOCK // max(_ROWS, min(_CHUNK, config.trials))
     plans = []
     for n in tiles:
@@ -232,56 +233,6 @@ def _table_groups(config: ExperimentConfig, tiles: range) -> list:
         groups[-1].append(plan)
         used += floats
     return groups
-
-
-def _group_values(config: ExperimentConfig, group: list):
-    """(lo, values) per chunk of trials from lo, values[i] being tile group[i]
-    on its halved grid, in a buffer the next chunk overwrites: the prefix to
-    K(n) of the trial's weights xi_k c_k, drawn a table block at a time, summed
-    as `evaluate_many` sums them, bit for bit, but c_1 xi_1 at x = 0 (the sign
-    of f(x)/x as x -> 0+). A non-finite value raises EvaluationError. The
-    bounded laws' path; the Gaussian law's is `_gaussian_values`."""
-    tables = [(_PowerTable(grid._points(2), K), np.empty((size, min(_CHUNK, config.trials))))
-              for _, grid, K, size in group]
-    spans = tables[-1][0].spans()  # the group's largest K
-    if any(t.spans() != [(a, min(b, t.K + 1)) for a, b in spans if a <= t.K] for t, _ in tables):
-        raise RuntimeError("the power tables of a table group must share block boundaries")
-    c = np.empty(spans[-1][1])
-    for a, b in spans:  # c_k is elementwise: slabs give its bits
-        c[a:b] = config.seq.coeff(np.arange(a, b))
-    W, outs = np.zeros((_ROWS, spans[0][1])), [np.empty((_ROWS, v.shape[0])) for _, v in tables]
-    gens = [trial_rng(config.master_seed) for _ in range(_ROWS)]  # seeked to each trial
-    key = gens[0].bit_generator.state["state"]["key"]
-    for lo in range(0, config.trials, _CHUNK):
-        m = min(_CHUNK, config.trials - lo)
-        for s in range(0, m, _ROWS):
-            rngs = gens[: min(_ROWS, m - s)]
-            for t, rng in enumerate(rngs, lo + s):
-                _seek(rng, key, t)
-            W[len(rngs) :] = 0.0  # a short stack's zero rows
-            for a, b in spans:
-                for row, rng in zip(W, rngs):
-                    row[: b - a] = config.law.draw(rng, a, b) * c[a:b]
-                for (table, _), out in zip(tables, outs):
-                    table.add(out, a, W[:, : b - a])
-                    if a == 0 and table.xs[0] == 0.0:
-                        out[:, 0] = W[:, 1]  # later blocks add exact zeros at x = 0
-            for (_, v), out in zip(tables, outs):
-                v[:, s : s + len(rngs)] = out[: len(rngs)].T
-        yield lo, [_finite(table.xs, v[:, :m]) for table, v in tables]
-
-
-def _gaussian_plans(config: ExperimentConfig, tiles: range) -> list:
-    """The `_plans` of tiles 0..max(n_max, tiles[-1]), the points one Gaussian
-    factor covers whichever of them a scan asks for. A factor of P^2 floats,
-    P their halved-grid points, over one _EVAL_BLOCK raises MemoryError
-    before anything is built."""
-    plans = _plans(config, range(max(config.n_max, tiles[-1]) + 1))
-    P = sum(size for *_, size in plans)
-    if P * P > _EVAL_BLOCK:
-        raise MemoryError(f"Gaussian grid factor of tiles 0..{len(plans) - 1}: {P} points, "
-                          f"over {math.isqrt(_EVAL_BLOCK)}")
-    return plans
 
 
 def _grid_factor(seq: CoefficientSequence, xs: list, Ks: list) -> np.ndarray:
@@ -321,45 +272,87 @@ def _grid_factor(seq: CoefficientSequence, xs: list, Ks: list) -> np.ndarray:
     return R
 
 
-def _gaussian_values(config: ExperimentConfig, plans: list, tiles: range):
-    """(lo, values) per chunk of trials from lo, values[i] being tile
-    tiles[i] on its halved grid, in a buffer the next chunk overwrites: trial
-    t's values on every plan's points are R^T z_t, R the `_grid_factor` of
-    the plans and z_t the first P normals of `trial_rng(master_seed, t)`,
-    `_ROWS` trials per product of that fixed width. A non-finite value raises
-    EvaluationError."""
-    xs = [grid._points(2) for _, grid, _, _ in plans]
+def _series_stack(config: ExperimentConfig, plans: list, xs: list, at):
+    """A bounded law's `stack(rngs, out)`: out[i, at[j]:at[j+1]] is then tile
+    plans[j] on xs[j] for rngs[i]'s trial, the prefix to K(n) of its weights
+    xi_k c_k, drawn a table block at a time and summed as `evaluate_many` sums
+    them, bit for bit, but c_1 xi_1 at x = 0 (the sign of f(x)/x as x -> 0+)."""
+    tables = [_PowerTable(x, K) for x, (*_, K, _) in zip(xs, plans)]
+    spans = tables[-1].spans()  # the group's largest K
+    if any(t.spans() != [(a, min(b, t.K + 1)) for a, b in spans if a <= t.K] for t in tables):
+        raise RuntimeError("the power tables of a table group must share block boundaries")
+    c = np.empty(spans[-1][1])
+    for a, b in spans:  # c_k is elementwise: slabs give its bits
+        c[a:b] = config.seq.coeff(np.arange(a, b))
+    W = np.zeros((_ROWS, spans[0][1]))
+
+    def stack(rngs, out):
+        W[len(rngs) :] = 0.0  # a short stack's zero rows
+        for a, b in spans:
+            for row, rng in zip(W, rngs):
+                row[: b - a] = config.law.draw(rng, a, b) * c[a:b]
+            for table, i in zip(tables, at):
+                table.add(out[:, i : i + table.xs.size], a, W[:, : b - a])
+                if a == 0 and table.xs[0] == 0.0:
+                    out[:, i] = W[:, 1]  # later blocks add exact zeros at x = 0
+    return stack
+
+
+def _normal_stack(config: ExperimentConfig, plans: list, xs: list):
+    """The Gaussian law's `stack(rngs, out)`: out[i] is then z^T R, R the
+    `_grid_factor` of the plans on xs, z the first P normals of rngs[i]'s trial."""
     R = _grid_factor(config.seq, xs, [K for *_, K, _ in plans])
-    P = len(R)
-    at = np.cumsum([0] + [v.size for v in xs])  # tile n's rows at[n]:at[n+1]
-    V = np.empty((P, min(_CHUNK, config.trials)))
-    Z, out = np.zeros((_ROWS, P)), np.empty((_ROWS, P))
-    rng = trial_rng(config.master_seed)  # seeked to each trial
-    key = rng.bit_generator.state["state"]["key"]
-    for lo in range(0, config.trials, _CHUNK):
-        m = min(_CHUNK, config.trials - lo)
-        for s in range(0, m, _ROWS):
-            h = min(_ROWS, m - s)
-            for t in range(h):
-                _seek(rng, key, lo + s + t)
-                Z[t] = config.law.draw(rng, 0, P)
-            Z[h:] = 0.0  # a short stack's zero rows
-            np.matmul(Z, R, out=out)
-            V[:, s : s + h] = out[:h].T
-        yield lo, [_finite(xs[n], V[at[n] : at[n + 1], :m]) for n in tiles]
+    Z = np.zeros((_ROWS, len(R)))
+
+    def stack(rngs, out):
+        Z[len(rngs) :] = 0.0  # a short stack's zero rows
+        for z, rng in zip(Z, rngs):
+            z[:] = config.law.draw(rng, 0, len(R))
+        np.matmul(Z, R, out=out)
+    return stack
 
 
 def _tile_values(config: ExperimentConfig, tiles: range):
     """(plans, lo, values) per pass and chunk of trials: values[i] is tile
-    plans[i] on its halved grid for the trials from lo. The bounded laws make
-    one pass per `_table_groups` group; the Gaussian law one over all tiles."""
-    if config.law is not CoefficientLaw.GAUSSIAN:
-        for group in _table_groups(config, tiles):
-            yield from ((group, lo, vals) for lo, vals in _group_values(config, group))
-    elif tiles:
-        plans = _gaussian_plans(config, tiles)
-        asked = plans[tiles.start : tiles.stop]
-        yield from ((asked, lo, vals) for lo, vals in _gaussian_values(config, plans, tiles))
+    plans[i] on its halved grid for the trials from lo, in a buffer the next
+    chunk overwrites. A bounded law makes one pass per `_table_groups` group,
+    the Gaussian law one over tiles 0..max(n_max, tiles[-1]), whose factor of
+    P^2 floats, P their points, over one _EVAL_BLOCK raises MemoryError before
+    anything is built. A pass holds one value buffer and one _ROWS-row scratch
+    for all its tiles: the law's `stack` fills the scratch a product at a time,
+    and one transposed copy moves it into the buffer. A non-finite value raises
+    EvaluationError."""
+    if not tiles:
+        return
+    gaussian = config.law is CoefficientLaw.GAUSSIAN
+    if not gaussian:
+        passes = _table_groups(config, tiles)
+    else:
+        passes = [_plans(config, range(max(config.n_max, tiles[-1]) + 1))]
+        P = sum(size for *_, size in passes[0])
+        if P * P > _EVAL_BLOCK:
+            raise MemoryError(f"Gaussian grid factor of tiles 0..{len(passes[0]) - 1}: {P} points, "
+                              f"over {math.isqrt(_EVAL_BLOCK)}")
+    gens = [trial_rng(config.master_seed) for _ in range(_ROWS)]  # seeked to each trial
+    key = gens[0].bit_generator.state["state"]["key"]
+    for plans in passes:
+        xs = [grid._points(2) for _, grid, _, _ in plans]
+        at = np.cumsum([0] + [x.size for x in xs])  # tile plans[i]'s points at[i]:at[i+1]
+        stack = (_normal_stack(config, plans, xs) if gaussian
+                 else _series_stack(config, plans, xs, at))
+        V, out = np.empty((at[-1], min(_CHUNK, config.trials))), np.empty((_ROWS, at[-1]))
+        asked = [i for i, (n, *_) in enumerate(plans) if n in tiles]
+        for lo in range(0, config.trials, _CHUNK):
+            m = min(_CHUNK, config.trials - lo)
+            for s in range(0, m, _ROWS):
+                rngs = gens[: min(_ROWS, m - s)]
+                for t, rng in enumerate(rngs, lo + s):
+                    _seek(rng, key, t)
+                stack(rngs, out)
+                V[:, s : s + len(rngs)] = out[: len(rngs)].T
+            yield ([plans[i] for i in asked], lo,
+                   [_finite(xs[i], V[at[i] : at[i + 1], :m]) for i in asked])
+        del V, out, stack  # freed before the next pass builds its power tables
 
 
 def _scan(config: ExperimentConfig, tiles: range):
@@ -418,8 +411,8 @@ def _slope_report(config: ExperimentConfig, rs, ms, counts) -> SlopeReport:
 def run_cumulative(config: ExperimentConfig, r_list) -> SlopeReport:
     """Cumulative counts on [0, r) for each r, plus the fitted growth slope.
 
-    Each r must be a tile boundary 1-q^m with m >= 1; any other r raises
-    ValueError. [0, r) is the union of tiles 0..m-1, and trial t scans them
+    Each r must be a tile boundary 1-q^m with m >= 1, each m once; any
+    other r raises ValueError. [0, r) is the union of tiles 0..m-1, and trial t scans them
     all on one series, so its count on [0, r) is the sum of its tile counts.
     The report gives the mean and sd(ddof=1)/sqrt(M) of these per-trial
     sums. The tiles r_list requires replace the config's n_min..n_max, but
@@ -432,6 +425,8 @@ def run_cumulative(config: ExperimentConfig, r_list) -> SlopeReport:
     if any(not (0.0 < r < 1.0) for r in rs):
         raise ValueError("every r must be in (0, 1)")
     ms = [_tiles_for(config.q, r) for r in rs]
+    if len(set(ms)) < len(ms):
+        raise ValueError(f"every r must be a distinct tile boundary, got tile counts {ms}")
     _, counts = _scan(config, range(max(ms, default=0)))
     return _slope_report(config, rs, ms, counts)
 

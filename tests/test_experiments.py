@@ -16,7 +16,6 @@ from taylorzeros.coeffs import Constant, LogLog, LogPower
 from taylorzeros.experiments import (
     ExperimentConfig,
     _grid_factor,
-    _group_values,
     _scan,
     _simulate,
     _table_groups,
@@ -270,14 +269,19 @@ def test_group_tables_must_share_block_boundaries(monkeypatch):
     cfg = small_config(trials=3)
     (n, grid, K, _), *rest = _table_groups(cfg, range(5))[0]
     finer = replace(grid, eta=grid.eta / 2)
+    monkeypatch.setattr(experiments_mod, "_table_groups",
+                        lambda config, tiles: [[(n, finer, K, finer._size(2))] + rest])
     with pytest.raises(RuntimeError, match="share block boundaries"):
-        list(_group_values(cfg, [(n, finer, K, finer._size(2))] + rest))
+        list(_tile_values(cfg, range(5)))
 
 
-def test_trial_chunks_do_not_change_values_or_counts(monkeypatch):
-    # M=7 in chunks of 3, 3 and 1, against one chunk of 7: the buffers are
-    # reused across chunks and the last chunk fills only its first column
-    cfg = small_config(law=CoefficientLaw.GAUSSIAN, trials=7)
+@pytest.mark.parametrize("law", [CoefficientLaw.RADEMACHER, CoefficientLaw.GAUSSIAN])
+def test_trial_chunks_do_not_change_values_or_counts(monkeypatch, law):
+    # M=7 in chunks of 3, 3 and 1, against one chunk of 7: a pass's value
+    # buffer and product scratch are reused across chunks, each chunk's one
+    # short stack fills 3 (or 1) of the scratch's _ROWS rows, and the last
+    # chunk fills only the buffer's first column
+    cfg = small_config(law=law, trials=7)
     vals = _engine_values(cfg, range(7))
     ests, counts = _scan(cfg, range(7))
     monkeypatch.setattr(experiments_mod, "_CHUNK", 3)
@@ -419,6 +423,27 @@ def test_simulate_builds_each_power_table_once(monkeypatch):
     assert len(calls) == 11
 
 
+def test_scan_frees_each_pass_before_the_next(monkeypatch):
+    # at a 2^16-float block the preset's tiles 0..10 make five table groups,
+    # tiles 7..10 one each; a pass's power tables, coefficients, value buffer
+    # and scratch are freed before the next pass builds its own, so the scan
+    # peaks as its last pass alone does (1.00x; 1.75x when each pass's tables
+    # lived on while the next pass's were built)
+    for mod in (sampling_mod, experiments_mod):
+        monkeypatch.setattr(mod, "_EVAL_BLOCK", 1 << 16)
+    cfg = ExperimentConfig(gamma=1.0, trials=8)
+    assert [len(g) for g in _table_groups(cfg, range(11))] == [7, 1, 1, 1, 1]
+    peaks = []
+    for tiles in (range(10, 11), range(10, 11), range(11)):  # the first warms up
+        tracemalloc.start()
+        try:
+            _scan(cfg, tiles)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 1.25 * peaks[1]
+
+
 def test_deep_group_peak_memory_per_term(monkeypatch):
     # the coefficient vector is filled one table block at a time and the
     # weights are drawn one block at a time: c and the blocks stay under 14
@@ -429,10 +454,11 @@ def test_deep_group_peak_memory_per_term(monkeypatch):
     cfg = ExperimentConfig(gamma=1.0, trials=2)
     group = next(g for g in _table_groups(cfg, range(11)) if g[-1][0] == 10)
     K = max(K for *_, K, _ in group)
-    list(_group_values(cfg, group))  # warm-up
+    monkeypatch.setattr(experiments_mod, "_table_groups", lambda config, tiles: [group])
+    list(_tile_values(cfg, range(group[0][0], 11)))  # warm-up
     tracemalloc.start()
     try:
-        list(_group_values(cfg, group))
+        list(_tile_values(cfg, range(group[0][0], 11)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -577,7 +603,7 @@ def test_scan_counts_the_trials_draw_sample_draws_and_the_exact_oracle_agrees():
 
 def _factor_points(cfg):
     """The halved grids and the K of tiles 0..n_max: what one factor covers."""
-    plans = experiments_mod._gaussian_plans(cfg, range(cfg.n_max + 1))
+    plans = experiments_mod._plans(cfg, range(cfg.n_max + 1))
     return [grid._points(2) for _, grid, _, _ in plans], [K for *_, K, _ in plans]
 
 
@@ -721,6 +747,8 @@ def test_cumulative_rejects_bad_r():
         run_cumulative(small_config(), [0.5, 1.0])
     with pytest.raises(ValueError):
         run_cumulative(small_config(), [-0.1])
+    with pytest.raises(ValueError, match="distinct tile boundary"):  # one abscissa, twice
+        run_cumulative(small_config(), [0.5, 0.75, 0.75])
 
 
 def test_cumulative_matches_interval_sums_on_dyadic_grid(monkeypatch):
