@@ -199,7 +199,12 @@ def _cmd_abel_check(args) -> int:
     print(f"variance vs asymptote, gamma={args.gamma:g}, slow={args.slow}:")
     gaps = []
     for a in a_list:
-        ratio = math.exp(seq.log_variance_v(1.0 - a) - seq.log_abel_asymptote(a))
+        log_ratio = seq.log_variance_v(1.0 - a) - seq.log_abel_asymptote(a)
+        try:
+            ratio = math.exp(log_ratio)
+        except OverflowError:
+            msg = f"the ratio overflows a float at a={a:g}: log ratio {log_ratio:.6g}"
+            raise OverflowError(msg) from None
         gaps.append(abs(ratio - 1.0))
         print(f"  a={a:<10g} ratio={ratio:.8f}  |ratio-1|={gaps[-1]:.3e}")
     if len(a_list) == 1:

@@ -13,11 +13,15 @@ unit-variance xi is
 
 and as a -> 0+ it obeys the Abelian asymptotics v(1-a) ~ (2a)^(-gamma) L(1/a).
 
+A family of L is its logarithm, `log(t)` = log L(t) for t >= 1 on an array,
+plus `label()`. Nothing here forms L, so c_k^2, v(x), the tail bounds and
+the asymptote are finite wherever they fit a float, whatever L does.
+
 All tail estimates here are certified: past any index K where the termwise
 ratio c_{k+1}^2 x^2 / c_k^2 is provably below a fixed rho < 1, the remaining
-mass is bounded by a geometric series. Every shipped L family has a
-nonincreasing ratio cap, which is what makes the certificate valid for all
-k >= K at once.
+mass is bounded by a geometric series. The cap at K, the true ratio rounded
+up to 1, caps every later ratio if L(j+1)/L(j) is nonincreasing in j or
+never above 1: every family must meet that condition.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class Constant:
-    """L(t) = c for a fixed c > 0."""
+    """L(t) = c for a fixed c > 0; L(j+1)/L(j) = 1."""
 
     c: float = 1.0
 
@@ -49,11 +53,8 @@ class Constant:
         if not 0 < self.c < math.inf:
             raise ValueError(f"constant slow variation needs 0 < c < inf, got {self.c}")
 
-    def __call__(self, t):
-        return self.c * np.ones_like(np.asarray(t, dtype=float))
-
-    def ratio_cap(self, k: int) -> float:
-        return 1.0
+    def log(self, t):
+        return np.full(np.shape(t), math.log(self.c))
 
     def label(self) -> str:
         return f"const:{float(self.c)!r}"
@@ -61,7 +62,8 @@ class Constant:
 
 @dataclass(frozen=True)
 class LogPower:
-    """L(t) = (1 + log t)^beta, defined for t >= 1."""
+    """L(t) = (1 + log t)^beta, t >= 1; L(j+1)/L(j) is nonincreasing for
+    beta > 0 and never above 1 for beta <= 0."""
 
     beta: float = 1.0
 
@@ -69,16 +71,9 @@ class LogPower:
         if not math.isfinite(self.beta):
             raise ValueError(f"log-power slow variation needs finite beta, got {self.beta}")
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return (1.0 + np.log(t)) ** self.beta
-
-    def ratio_cap(self, k: int) -> float:
-        # (1+log(k+1))/(1+log k) >= 1 and decreases in k, so this caps all
-        # later ratios as well; for beta < 0 the ratio is below 1.
-        if self.beta <= 0:
-            return 1.0
-        return float((1.0 + math.log(k + 1)) / (1.0 + math.log(k))) ** self.beta
+    def log(self, t):
+        with np.errstate(over="ignore"):  # to -inf or inf where |log L| passes a float
+            return self.beta * np.log(1.0 + np.log(t))
 
     def label(self) -> str:
         return f"logpow:{float(self.beta)!r}"
@@ -86,16 +81,10 @@ class LogPower:
 
 @dataclass(frozen=True)
 class LogLog:
-    """L(t) = log(e + log t), a slowly varying factor that grows without bound."""
+    """L(t) = log(e + log t), unbounded; L(j+1)/L(j) decreases in j."""
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.log(math.e + np.log(t))
-
-    def ratio_cap(self, k: int) -> float:
-        return float(
-            math.log(math.e + math.log(k + 1)) / math.log(math.e + math.log(k))
-        )
+    def log(self, t):
+        return np.log(np.log(math.e + np.log(t)))
 
     def label(self) -> str:
         return "loglog"
@@ -126,8 +115,8 @@ class CoefficientSequence:
     def _log_csq(self, k):
         """(gamma-1) log k + log L(k) - log Gamma(gamma), k >= 1, in one array."""
         g = self.gamma
-        out = np.log(self.slow(k))
-        out += (g - 1.0) * np.log(k)
+        out = (g - 1.0) * np.log(k)
+        out += self.slow.log(k)
         out -= math.lgamma(g)
         return out
 
@@ -148,17 +137,16 @@ class CoefficientSequence:
         return math.sqrt(c2) if np.ndim(k) == 0 else np.sqrt(c2)
 
     def ratio_cap(self, k: int) -> float:
-        """Upper bound for c_{j+1}^2 / c_j^2 valid for every j >= k >= 1.
-
-        Both factors of the true ratio, ((j+1)/j)^(gamma-1) and L(j+1)/L(j),
-        are bounded by nonincreasing-in-j caps, so evaluating at j = k caps
-        the whole tail.
-        """
+        """Upper bound for c_{j+1}^2 / c_j^2 valid for every j >= k >= 1: each
+        factor of the true ratio, ((j+1)/j)^(gamma-1) and L(j+1)/L(j), at j = k
+        and rounded up to 1 (valid by the module docstring's condition)."""
         if k < 1:
             raise ValueError("ratio cap needs k >= 1")
         g = self.gamma
         poly = ((k + 1.0) / k) ** (g - 1.0) if g > 1 else 1.0
-        return poly * self.slow.ratio_cap(k)
+        lo, hi = self.slow.log(np.array([k, k + 1.0])).tolist()
+        d = hi - lo  # nan where both logs are -inf (L underflows): the cap is 1 there
+        return poly * (1.0 if not d > 0 else math.exp(d) if d < _LOG_MAX else math.inf)
 
     def tail_bound(self, x: float, K: int) -> float:
         """Certified upper bound for sum_{k > K} c_k^2 x^{2k}.
@@ -179,8 +167,9 @@ class CoefficientSequence:
         if rho > 0.5 * (1.0 + x * x):
             return math.inf
         # c_K^2 e^(-log_scale) = 2^j e^r: x^(2K) keeps the accuracy of pow, and
-        # no factor overflows
-        j, r = divmod(float(self._log_csq(float(K))) - log_scale, math.log(2.0))
+        # no factor overflows; below e^(-2 _LOG_MAX) (-inf included) it is 0
+        log_t = float(self._log_csq(float(K))) - log_scale
+        j, r = divmod(max(log_t, -2.0 * _LOG_MAX), math.log(2.0))
         t_K = float(np.ldexp(math.exp(r) * x ** (2.0 * K), int(j)))
         return t_K * rho / (1.0 - rho)
 
@@ -207,6 +196,8 @@ class CoefficientSequence:
             t = self._log_csq(k)
             t += log_x2 * k
             top = max(scale, float(t.max()))
+            if top == math.inf:  # some log L(k) is inf
+                raise OverflowError(f"log v(x) overflows a float at x={x}")
             t -= top
             total = total * math.exp(scale - top) + float(np.sum(np.exp(t, out=t)))
             scale, lo, size = top, hi, min(2 * size, _BLOCK)
@@ -227,7 +218,7 @@ class CoefficientSequence:
         """log of (2a)^(-gamma) L(1/a), the leading term of v(1-a) as a -> 0+."""
         if not (0.0 < a < 1.0):
             raise ValueError(f"the Abel asymptote needs a in (0, 1), got {a}")
-        return -self.gamma * math.log(2.0 * a) + math.log(float(self.slow(1.0 / a)))
+        return -self.gamma * math.log(2.0 * a) + float(self.slow.log(1.0 / a))
 
     def max_share(self, n: int) -> float:
         """max_{k <= n} c_k^2 / sum_{k <= n} c_k^2, the top weight share.

@@ -346,6 +346,46 @@ def test_overflowing_variance_is_runtime_failure(argv):
         assert proc.stderr.startswith("runtime failure: v(x) overflows a float")
 
 
+# ---------------------------------------------------- extreme slow factors
+
+# L = (1 + log t)^(+-400) leaves float range from t ~ 134 on, while log L does
+# not; every command exits 0 or 1, never 2, and no warning is raised
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_logpow_400_is_runtime_failure(tmp_path, capsys):
+    preset = Path(__file__).parents[1] / "presets" / "gamma1_q05_rademacher.cfg"
+    text = preset.read_text().replace("trials = 2000", "trials = 20")
+    p = tmp_path / "logpow.cfg"
+    p.write_text(text.replace("slow = const", "slow = logpow:400"))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "runtime failure: v(x) overflows a float at x=0.9375")
+
+
+@pytest.mark.filterwarnings("error")
+def test_abel_check_logpow_400_exits_0(capsys):
+    assert main(["abel-check", "--gamma", "1", "--slow", "logpow:400"]) == 0
+    ratios = [float(s.split()[0]) for s in capsys.readouterr().out.split("ratio=")[1:]]
+    assert len(ratios) == 4 and all(math.isfinite(r) and r > 0.0 for r in ratios)
+
+
+@pytest.mark.filterwarnings("error")
+def test_diagnostics_logpow_minus_400_exits_0(capsys):
+    args = ["diagnostics", "--gamma", "1", "--slow", "logpow:-400", "--n-max", "4"]
+    assert main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[2:6]
+    assert len(rows) == 4 and not any("inf" in r or "nan" in r for r in rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_abel_check_ratio_past_float_range_names_a(capsys):
+    # at a = 1e-3 log v(1-a) exceeds the log asymptote by about 821
+    assert main(["abel-check", "--gamma", "1", "--slow", "logpow:-400"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: the ratio overflows a float at a=0.001: log ratio 8")
+
+
 # ------------------------------------------------------------------ shell
 
 

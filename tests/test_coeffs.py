@@ -10,6 +10,7 @@ from taylorzeros.coeffs import (
     LogLog,
     CoefficientSequence,
 )
+from taylorzeros.sampling import TruncationPolicy, truncation_degree
 
 
 def geometric_v(x):
@@ -84,6 +85,25 @@ class TestVariance:
         k = np.arange(1.0, 400_000.0)
         brute = float(np.logaddexp.reduce(seq._log_csq(k) + 2.0 * math.log(x) * k))
         assert seq.log_variance_v(x) == pytest.approx(brute, rel=1e-13)
+
+    def test_terms_whose_log_is_minus_inf_are_zero(self):
+        # beta is finite, but log L(k) = -1e308 log(1 + log k) is below -5e307
+        # from k = 2 and -inf from k = 154 on, so v(x) is the k = 1 term alone
+        seq = CoefficientSequence(1.0, LogPower(-1e308))
+        low, past = seq.slow.log(np.array([153.0, 154.0]))
+        assert -math.inf < low < -1.79e308 and past == -math.inf
+        assert seq.variance_v(0.5) == pytest.approx(0.25, rel=1e-15)
+        assert seq.ratio_cap(64) == 1.0 and seq.tail_bound(0.5, 64) == 0.0
+        # the cap is at least 1, so K = 1 leaves a bound of 0.25^2 / 0.75;
+        # K = 2 certifies the zero tail
+        assert truncation_degree(seq, TruncationPolicy(0.5)) == 2
+
+    def test_a_term_whose_log_is_inf_overflows(self):
+        # log L(k) = 1e308 log(1 + log k) is inf from k = 154 on
+        seq = CoefficientSequence(1.0, LogPower(1e308))
+        assert seq.ratio_cap(64) == math.inf
+        with pytest.raises(OverflowError, match=r"v\(x\) overflows a float at x=0\.5,"):
+            seq.variance_v(0.5)
 
     def test_geometric_closed_form(self):
         seq = CoefficientSequence(1.0)
@@ -188,19 +208,61 @@ class TestMaxShare:
             CoefficientSequence(1.0).max_share(0)
 
 
+# the closed forms of L(t) and of each family's old hand-derived ratio cap
+SLOWS = (Constant(2.5), LogPower(-0.5), LogPower(1.0), LogPower(3.0), LogPower(400.0), LogLog())
+CAP_KS = (1, 2, 5, 20, 100, 10**4, 2**20, 2**26)
+
+
+def closed_L(slow, t):
+    if isinstance(slow, Constant):
+        return slow.c * np.ones_like(t)
+    if isinstance(slow, LogPower):
+        return (1.0 + np.log(t)) ** slow.beta
+    return np.log(math.e + np.log(t))
+
+
+def closed_L_ratio(slow, k):
+    """L(k+1)/L(k) in Python floats."""
+    if isinstance(slow, Constant):
+        return 1.0
+    if isinstance(slow, LogPower):
+        return ((1.0 + math.log(k + 1)) / (1.0 + math.log(k))) ** slow.beta
+    return math.log(math.e + math.log(k + 1)) / math.log(math.e + math.log(k))
+
+
 class TestSlowVariation:
     def test_slowly_varying_ratio(self):
         for slow in (LogPower(1.0), LogPower(-0.5), LogLog()):
             t = 1e8
-            assert abs(float(slow(2 * t)) / float(slow(t)) - 1.0) < 0.05
+            assert abs(math.exp(float(slow.log(2 * t)) - float(slow.log(t))) - 1.0) < 0.05
+
+    @pytest.mark.parametrize("slow", SLOWS, ids=lambda s: s.label())
+    def test_log_matches_the_closed_form(self, slow):
+        # wherever L fits a float; logpow:400 leaves float range past t = 134
+        t = np.concatenate((np.arange(1.0, 200.0), np.geomspace(200.0, 2.0**60, 300)))
+        with np.errstate(over="ignore"):
+            L = closed_L(slow, t)
+        fits = np.isfinite(L) & (L > 0.0)
+        got = slow.log(t)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got[fits], np.log(L[fits]), rtol=1e-13, atol=1e-15)
 
     def test_ratio_cap_dominates_and_decreases(self):
-        for seq in PRESETS:
-            caps = [seq.ratio_cap(k) for k in (1, 2, 5, 20, 100)]
-            assert all(c1 >= c2 for c1, c2 in zip(caps, caps[1:]))
-            for k in (1, 2, 5, 20, 100):
-                true = seq.csq(k + 1) / seq.csq(k)
-                assert seq.ratio_cap(k) >= true * (1.0 - 1e-12)
+        for slow in SLOWS:
+            for gamma in (0.5, 1.0, 2.0, 2.5):  # every PRESETS gamma and 2.5
+                seq = CoefficientSequence(gamma, slow)
+                caps = [seq.ratio_cap(k) for k in CAP_KS]
+                assert all(c1 >= c2 for c1, c2 in zip(caps, caps[1:])), seq
+                for k, cap in zip(CAP_KS, caps):
+                    true = ((k + 1.0) / k) ** (gamma - 1.0) * closed_L_ratio(slow, k)
+                    assert cap >= true * (1.0 - 1e-12), (seq, k)
+                    # the hand-derived caps the derived one replaced
+                    poly = ((k + 1.0) / k) ** (gamma - 1.0) if gamma > 1 else 1.0
+                    old = poly * max(1.0, closed_L_ratio(slow, k))
+                    assert cap == pytest.approx(old, rel=1e-12), (seq, k)
+                for k in (1, 2, 5, 20, 100):
+                    # the ratio of the sequence's own coefficients, all in float range
+                    assert seq.ratio_cap(k) >= seq.csq(k + 1) / seq.csq(k) * (1.0 - 1e-12)
 
     def test_constant_validation(self):
         with pytest.raises(ValueError):
